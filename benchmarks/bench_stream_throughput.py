@@ -4,12 +4,18 @@ Materializes Poisson job streams from one :class:`StreamSpec` and
 measures how many jobs the arena pushes through per second of scheduler
 wall time for each policy, alongside the fleet metrics the streaming
 docs headline (mean sojourn, utilization).  A generous jobs/sec floor
-guards against the arena's event loop regressing to quadratic behavior;
-the tighter wall-time gate is the perf-smoke factor check against
-``BENCH_baseline.json``.
+catches order-of-magnitude regressions; the tighter wall-time gate is
+the perf-smoke factor check against ``BENCH_baseline.json``.
+
+The scaling-shape gate holds the arena's per-job cost flat in stream
+length: at a light rate the work in flight stays constant, so jobs/s on
+one 480-job stream must stay within 1.5x of jobs/s on 30-job streams.
+A ratio of two runs on the same machine, it does not depend on how fast
+the machine is.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,6 +38,13 @@ _SPEC = StreamSpec(
 
 #: deliberately loose -- catches order-of-magnitude regressions only
 _FLOOR_JOBS_PER_S = 10.0
+
+#: light rate of the scaling gate: jobs rarely overlap at any length
+_LIGHT_RATE = 0.002
+_SHORT_JOBS, _LONG_JOBS = 30, 480
+#: largest allowed jobs/s(short) / jobs/s(long)
+_MAX_SLOWDOWN = 1.5
+_SCALING_POLICIES = ("OnlineHDLTS", "Static/HEFT")
 
 
 def test_stream_throughput(benchmark):
@@ -73,3 +86,65 @@ def test_stream_throughput(benchmark):
 
     instance = _SPEC.build(0.02, np.random.default_rng([47, 0]))
     benchmark(lambda: run_stream(instance, "OnlineHDLTS"))
+
+
+def _stream_wall(instances, policy) -> float:
+    started = time.perf_counter()
+    for instance in instances:
+        result = run_stream(instance, policy)
+        assert all(job.finished for job in result.jobs)
+    return time.perf_counter() - started
+
+
+def test_stream_scaling_shape(benchmark):
+    """jobs/s at 480 jobs stays within 1.5x of jobs/s at 30 (light rate)."""
+    long_spec = replace(_SPEC, n_jobs=_LONG_JOBS)
+    short_spec = replace(_SPEC, n_jobs=_SHORT_JOBS)
+    long_stream = [
+        long_spec.build(_LIGHT_RATE, np.random.default_rng([48, 0]))
+    ]
+    # as many jobs in short streams as in the long one
+    short_streams = [
+        short_spec.build(_LIGHT_RATE, np.random.default_rng([48, rep]))
+        for rep in range(1, _LONG_JOBS // _SHORT_JOBS + 1)
+    ]
+    arms = (("short", short_streams), ("long", long_stream))
+    best = {}
+    for _ in range(2):  # interleaved arms, best of two each
+        for policy in _SCALING_POLICIES:
+            for arm, streams in arms:
+                wall = _stream_wall(streams, policy)
+                key = (policy, arm)
+                best[key] = min(best.get(key, float("inf")), wall)
+    rows = []
+    slowdowns = {}
+    for policy in _SCALING_POLICIES:
+        short = _LONG_JOBS / best[(policy, "short")]
+        long = _LONG_JOBS / best[(policy, "long")]
+        slowdowns[policy] = short / long
+        rows.append(
+            [policy, f"{short:.0f}", f"{long:.0f}", f"{short / long:.2f}"]
+        )
+    emit(
+        "stream_scaling",
+        f"jobs/s vs stream length at Poisson rate {_LIGHT_RATE} "
+        f"(v={_SPEC.job_x}, 4 CPUs, best of 2):\n"
+        + format_table(
+            [
+                "policy",
+                f"{_SHORT_JOBS} jobs",
+                f"{_LONG_JOBS} jobs",
+                "slowdown",
+            ],
+            rows,
+        ),
+    )
+    for policy, slowdown in slowdowns.items():
+        assert slowdown < _MAX_SLOWDOWN, (
+            f"{policy}: jobs/s at {_LONG_JOBS} jobs is {slowdown:.2f}x "
+            f"below {_SHORT_JOBS} jobs; the bar is {_MAX_SLOWDOWN}x"
+        )
+
+    benchmark.pedantic(
+        lambda: run_stream(short_streams[0], "OnlineHDLTS"), rounds=3
+    )

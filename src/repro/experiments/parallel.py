@@ -104,24 +104,28 @@ def _init_worker(
     heartbeat file there after every chunk, and -- when tracing is on --
     streams its ``span.end`` events into ``spans-<pid>.jsonl`` in the
     same directory (flushed per chunk: ``Pool.terminate`` must not cost
-    more than the chunk in flight).
+    more than the chunk in flight).  The initializer itself is traced as
+    a flushed ``worker.init`` span, so a worker that never receives a
+    chunk still has its lane in the merged trace.
     """
     adopt(context)
-    _WORKER_STATE["definitions"] = {d.key: d for d in definitions}
     _WORKER_STATE.pop("heartbeat", None)
     _WORKER_STATE.pop("span_sink", None)
-    if context.telemetry:
-        heartbeat = HeartbeatWriter(context.telemetry, role="worker")
-        heartbeat.beat(force=True)
-        _WORKER_STATE["heartbeat"] = heartbeat
-        if context.trace:
-            sink = obs.JsonlSink(
-                os.path.join(
-                    context.telemetry, f"spans-{os.getpid()}.jsonl"
-                )
-            )
-            obs.get_bus().subscribe(sink, topics=[obs.SPAN_TOPIC])
-            _WORKER_STATE["span_sink"] = sink
+    sink = None
+    if context.telemetry and context.trace:
+        sink = obs.JsonlSink(
+            os.path.join(context.telemetry, f"spans-{os.getpid()}.jsonl")
+        )
+        obs.get_bus().subscribe(sink, topics=[obs.SPAN_TOPIC])
+        _WORKER_STATE["span_sink"] = sink
+    with obs.span("worker.init", definitions=len(definitions)):
+        _WORKER_STATE["definitions"] = {d.key: d for d in definitions}
+        if context.telemetry:
+            heartbeat = HeartbeatWriter(context.telemetry, role="worker")
+            heartbeat.beat(force=True)
+            _WORKER_STATE["heartbeat"] = heartbeat
+    if sink is not None:
+        sink.flush()
 
 
 def _execute_chunk(definition: SweepDefinition, chunk: Chunk) -> ChunkResult:
@@ -241,13 +245,23 @@ def sweep_pool(
         trace=obs.tracing(),
     )
     mp_context = multiprocessing.get_context(method)
-    with mp_context.Pool(
+    pool = mp_context.Pool(
         processes=n_workers,
         initializer=_init_worker,
         initargs=(effective, definitions),
-    ) as pool:
-        pool._repro_definitions = registry  # type: ignore[attr-defined]
+    )
+    pool._repro_definitions = registry  # type: ignore[attr-defined]
+    try:
         yield pool
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        # close, not terminate: a worker still starting up when the last
+        # chunk lands finishes its initializer (heartbeat, trace lane)
+        pool.close()
+    finally:
+        pool.join()
 
 
 def run_sweep_parallel(

@@ -34,10 +34,37 @@ whole fleet dies, remaining jobs are marked lost rather than raising --
 the conservation invariant (every arrived job finishes or is explicitly
 lost) holds either way.  Static policies reject failures, exactly like
 ``replay_static``.
+
+Cost model: an event costs O(work in flight), not O(stream length).
+
+* **Active set.**  The loops walk only the unfinished jobs, in
+  admission order (which keeps every tie-break); a job leaves the set
+  and drops its caches when its last task is done.  The static loop
+  keeps a per-job count of undispatched queue entries.
+* **Slot index.**  Each CPU's realized slots are kept sorted by start,
+  and the entry-duplication window test reads only the slots that start
+  in the window or at most two longest slots before it
+  (:class:`_SlotIndex`).  A window found blocked stays blocked -- slots
+  and copies are only ever added -- so each job keeps the CPUs still
+  open to duplication.
+* **Row cache.**  A ready task's data-arrival row depends on its job's
+  own copies, except for the duplication shortcut, which depends on
+  every job's slots.  The job-local part is cached per task, and a new
+  copy drops the rows of that task's children; each job also caches its
+  stacked ready rows (online) or per-CPU queue-head ready times
+  (static) until it next records a copy.  Only the shortcut is
+  re-evaluated on every event, and only for jobs whose entry children
+  are ready and that still have an open CPU.
+* **Adjacency** comes from each job's compiled CSR arrays, read once at
+  admission.
+
+None of this changes a decision: ``tests/stream/test_golden.py`` pins
+every record stream by digest.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -47,6 +74,7 @@ from repro import obs
 from repro.core.itq import IndependentTaskQueue
 from repro.dynamic.failures import FailStop, failure_times
 from repro.dynamic.noise import DurationFn
+from repro.model.compiled import compile_graph
 from repro.model.task_graph import TaskGraph
 from repro.schedule.simulator import DeadlockError
 
@@ -272,13 +300,55 @@ def _window_free(
     return True
 
 
+class _SlotIndex:
+    """One CPU's realized slots, sorted by start, for window queries.
+
+    A slot can block ``[lo, hi)`` only if it starts before ``hi`` and
+    ends after ``lo``, so :meth:`window_free` evaluates
+    :func:`_window_free` on the slots starting in
+    ``[lo - 2 * max_len, hi)`` alone.  The look-back is bounded by the
+    longest slot, not by the previous one, because noisy entry
+    duplicates may overlap their neighbours; the factor two absorbs the
+    rounding in ``finish - start``.
+    """
+
+    __slots__ = ("starts", "slots", "max_len")
+
+    def __init__(self) -> None:
+        self.starts: List[float] = []
+        self.slots: List[Tuple[float, float]] = []
+        self.max_len = 0.0
+
+    def add(self, start: float, finish: float) -> None:
+        at = bisect_right(self.starts, start)
+        self.starts.insert(at, start)
+        self.slots.insert(at, (start, finish))
+        if finish - start > self.max_len:
+            self.max_len = finish - start
+
+    def window_free(self, lo: float, hi: float) -> bool:
+        first = bisect_left(self.starts, lo - 2.0 * self.max_len)
+        last = bisect_left(self.starts, hi)
+        return _window_free(self.slots[first:last], lo, hi)
+
+
 class _AdmittedJob:
-    """Mutable per-job execution state inside the arena."""
+    """Mutable per-job execution state inside the arena.
+
+    Adjacency and edge costs are read once, at admission, from the
+    job's compiled CSR arrays.  ``parts`` (per ready task), ``block``
+    (the whole ready set, online) and ``head_ready`` (the queue heads,
+    static) cache values that depend only on this job's own copies and
+    cursors: :meth:`add_copy` drops the rows of the new copy's children
+    and both per-job views; :meth:`retire` frees everything for good
+    once the job finishes.
+    """
 
     __slots__ = (
         "job",
         "graph",
         "w",
+        "preds",
         "entry",
         "arrival",
         "duration_fn",
@@ -286,14 +356,22 @@ class _AdmittedJob:
         "copies",
         "finish_times",
         "proc_of",
+        "parts",
+        "block",
+        "dup_open",
         "queues",
         "heads",
+        "remaining",
+        "head_ready",
     )
 
     def __init__(self, job: StreamJob) -> None:
+        compiled = compile_graph(job.graph)
         self.job = job
         self.graph = job.graph
-        self.w = job.graph.cost_matrix()
+        self.w = compiled.w
+        #: per task: (parent ids, edge costs), in graph insertion order
+        self.preds = compiled.pred_lists
         self.entry = job.graph.entry_task
         self.arrival = job.arrival
         self.duration_fn = job.duration_fn()
@@ -301,19 +379,81 @@ class _AdmittedJob:
         self.copies: Dict[int, List[Tuple[int, float]]] = {}
         self.finish_times: Dict[int, float] = {}
         self.proc_of: Dict[int, int] = {}
+        # online policy: row caches + CPUs whose entry-duplication
+        # window is not yet known to be closed (closing is permanent:
+        # slots and copies are only ever added)
+        self.parts: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
+        #: (ready tasks, their W rows, their rows without the
+        #: duplication shortcut, indices of the entry's children)
+        self.block: Optional[
+            Tuple[List[int], np.ndarray, np.ndarray, List[int]]
+        ] = None
+        self.dup_open: List[int] = list(range(job.graph.n_procs))
         # static policy: per-CPU (task, is_duplicate) queues + cursors
         self.queues: Optional[List[List[Tuple[int, bool]]]] = None
         self.heads: Optional[List[int]] = None
+        self.remaining = 0
+        self.head_ready: Optional[List[float]] = None
 
-    def arrival_of(self, parent: int, child: int, proc: int) -> float:
-        """Earliest availability of ``parent``'s output on ``proc``."""
+    def arrival_of(self, parent: int, comm: float, proc: int) -> float:
+        """Earliest availability on ``proc`` of ``parent``'s output,
+        shipped over an edge of cost ``comm``."""
         copies = self.copies.get(parent)
         if not copies:
             return float("inf")
-        comm = self.graph.comm_cost(parent, child)
         return min(
             fin + (0.0 if cproc == proc else comm) for cproc, fin in copies
         )
+
+    def arrivals(self, parent: int, comm: float, n_procs: int) -> List[float]:
+        """:meth:`arrival_of` for every CPU at once."""
+        best: Optional[List[float]] = None
+        for cproc, fin in self.copies[parent]:
+            row = [fin + comm] * n_procs
+            row[cproc] = fin
+            best = row if best is None else list(map(min, best, row))
+        return best
+
+    def row_parts(
+        self, task: int, n_procs: int
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Per-CPU data arrival of ``task``'s inputs, split in two.
+
+        Returns the latest arrival over the non-entry parents (``-inf``
+        without any) and the entry's arrival over the network (``None``
+        when the entry is not a parent) -- everything in a ready row
+        except the floor and the entry-duplication shortcut.
+        """
+        parts = self.parts.get(task)
+        if parts is None:
+            nonentry = np.full(n_procs, -np.inf)
+            via_entry = None
+            for parent, comm in zip(*self.preds[task]):
+                arrivals = self.arrivals(parent, comm, n_procs)
+                if parent == self.entry:
+                    via_entry = np.array(arrivals)
+                else:
+                    np.maximum(nonentry, arrivals, out=nonentry)
+            parts = self.parts[task] = (nonentry, via_entry)
+        return parts
+
+    def add_copy(self, task: int, proc: int, finish: float) -> None:
+        """Record a copy of ``task``; drops the rows it feeds."""
+        self.copies.setdefault(task, []).append((proc, finish))
+        for child in self.graph.successors(task):
+            self.parts.pop(child, None)
+        self.block = None
+        self.head_ready = None
+
+    def retire(self) -> None:
+        """The job finished: keep only what the result reports."""
+        self.parts = {}
+        self.block = None
+        self.head_ready = None
+        self.copies = {}
+        self.itq = None
+        self.queues = None
+        self.dup_open = []
 
 
 class JobStream:
@@ -354,11 +494,14 @@ class JobStream:
         instance = self.instance
         state: Dict[str, object] = {
             "avail": np.zeros(instance.n_procs),
-            "slots": [[] for _ in range(instance.n_procs)],
+            "slots": [_SlotIndex() for _ in range(instance.n_procs)],
             "records": [],
             "first_start": {},
             "n_lost": 0,
+            # every admitted job (for _assemble) and the unfinished
+            # ones, both in admission order
             "admitted": [],
+            "active": [],
             "next_ix": 0,
             "bus": obs.get_bus(),
         }
@@ -369,6 +512,7 @@ class JobStream:
         state["next_ix"] += 1
         admitted = _AdmittedJob(job)
         state["admitted"].append(admitted)
+        state["active"].append(admitted)
         obs.count("stream/jobs")
         bus = state["bus"]
         if bus.active:
@@ -382,7 +526,7 @@ class JobStream:
 
     def _record(self, state, rec: JobRecord) -> None:
         state["records"].append(rec)
-        state["slots"][rec.proc].append((rec.start, rec.finish))
+        state["slots"][rec.proc].add(rec.start, rec.finish)
         first = state["first_start"]
         if rec.job not in first or rec.start < first[rec.job]:
             first[rec.job] = rec.start
@@ -405,6 +549,8 @@ class JobStream:
             obs.count("stream/dispatches")
 
     def _finish_job(self, state, st: _AdmittedJob) -> None:
+        state["active"].remove(st)
+        st.retire()
         finish = max(st.finish_times.values(), default=st.arrival)
         obs.count("stream/job_finishes")
         bus = state["bus"]
@@ -490,45 +636,87 @@ class JobStream:
         fail_at = failure_times(self.failures or None, n_procs)
         state = self._setup()
         avail: np.ndarray = state["avail"]
-        slots: List[List[Tuple[float, float]]] = state["slots"]
-        admitted: List[_AdmittedJob] = state["admitted"]
+        slots: List[_SlotIndex] = state["slots"]
+        active: List[_AdmittedJob] = state["active"]
         dead: set = set()
 
+        def admit() -> None:
+            st = self._admit(state)
+            st.itq = IndependentTaskQueue(st.graph)
+
+        def has_entry_copy(st: _AdmittedJob, proc: int) -> bool:
+            return any(c == proc for c, _ in st.copies.get(st.entry, ()))
+
+        def open_dup_procs(st: _AdmittedJob) -> List[int]:
+            """CPUs where ``st``'s entry could be duplicated right now."""
+            arrival, w_entry = st.arrival, st.w[st.entry]
+            st.dup_open = [
+                proc
+                for proc in st.dup_open
+                if not has_entry_copy(st, proc)
+                and slots[proc].window_free(arrival, arrival + w_entry[proc])
+            ]
+            return st.dup_open
+
         def ready_row(st: _AdmittedJob, task: int, floor: float) -> np.ndarray:
-            row = np.full(n_procs, floor)
-            entry = st.entry
-            for parent in st.graph.predecessors(task):
-                for proc in range(n_procs):
-                    t = st.arrival_of(parent, task, proc)
-                    if (
-                        parent == entry
-                        and not any(
-                            c == proc for c, _ in st.copies.get(entry, ())
+            nonentry, via_entry = st.row_parts(task, n_procs)
+            row = np.maximum(nonentry, floor)
+            if via_entry is not None:
+                entry_row = via_entry
+                if st.dup_open and open_dup_procs(st):
+                    entry_row = via_entry.copy()
+                    for proc in st.dup_open:
+                        entry_row[proc] = min(
+                            via_entry[proc],
+                            st.arrival + st.w[st.entry, proc],
                         )
-                        and _window_free(
-                            slots[proc],
-                            st.arrival,
-                            st.arrival + st.w[entry, proc],
-                        )
-                    ):
-                        t = min(t, st.arrival + st.w[entry, proc])
-                    if t > row[proc]:
-                        row[proc] = t
+                np.maximum(row, entry_row, out=row)
             return row
+
+        def ready_block(
+            st: _AdmittedJob,
+        ) -> Tuple[List[int], np.ndarray, np.ndarray]:
+            """(ready tasks, their W rows, their ready rows) for ``st``.
+
+            The rows without the duplication shortcut are cached until
+            the job records a copy; the shortcut depends on other jobs'
+            slots, so the rows it touches are rebuilt on every event.
+            """
+            if st.block is None:
+                tasks = st.itq.ready_tasks()
+                parts = [st.row_parts(task, n_procs) for task in tasks]
+                rows = np.maximum(
+                    np.array([nonentry for nonentry, _ in parts]), st.arrival
+                )
+                via_entry = [
+                    i for i, (_, via) in enumerate(parts) if via is not None
+                ]
+                for i in via_entry:
+                    np.maximum(rows[i], parts[i][1], out=rows[i])
+                st.block = (tasks, st.w[tasks], rows, via_entry)
+            tasks, w_rows, rows, via_entry = st.block
+            if via_entry and st.dup_open and open_dup_procs(st):
+                rows = rows.copy()
+                for i in via_entry:
+                    rows[i] = ready_row(st, tasks[i], st.arrival)
+            return tasks, w_rows, rows
 
         def try_dispatch(
             st: _AdmittedJob, task: int, proc: int, ready: float
         ) -> Optional[float]:
             entry = st.entry
+            parents, comms = st.preds[task]
             if (
                 task != entry
-                and entry in st.graph.predecessors(task)
-                and not any(c == proc for c, _ in st.copies.get(entry, ()))
+                and entry in parents
+                and not has_entry_copy(st, proc)
             ):
-                via_network = st.arrival_of(entry, task, proc)
+                via_network = st.arrival_of(
+                    entry, comms[parents.index(entry)], proc
+                )
                 dup_end = st.arrival + st.w[entry, proc]
-                if dup_end < via_network and _window_free(
-                    slots[proc], st.arrival, dup_end
+                if dup_end < via_network and slots[proc].window_free(
+                    st.arrival, dup_end
                 ):
                     dup_start = st.arrival
                     dup_finish = dup_start + st.duration_fn(entry, proc)
@@ -545,7 +733,7 @@ class JobStream:
                         )
                         return None
                     avail[proc] = max(avail[proc], dup_finish)
-                    st.copies[entry].append((proc, dup_finish))
+                    st.add_copy(entry, proc, dup_finish)
                     self._record(
                         state,
                         JobRecord(
@@ -554,8 +742,8 @@ class JobStream:
                         ),
                     )
                     ready = st.arrival
-                    for parent in st.graph.predecessors(task):
-                        t = st.arrival_of(parent, task, proc)
+                    for parent, comm in zip(parents, comms):
+                        t = st.arrival_of(parent, comm, proc)
                         if t > ready:
                             ready = t
             start = max(avail[proc], ready)
@@ -574,7 +762,7 @@ class JobStream:
                 )
                 return None
             avail[proc] = finish
-            st.copies.setdefault(task, []).append((proc, finish))
+            st.add_copy(task, proc, finish)
             st.finish_times[task] = finish
             st.proc_of[task] = proc
             self._record(
@@ -582,32 +770,29 @@ class JobStream:
             )
             return finish
 
-        while state["next_ix"] < n_jobs or any(st.itq for st in admitted):
-            if not any(st.itq for st in admitted):
-                st = self._admit(state)
-                st.itq = IndependentTaskQueue(st.graph)
+        while state["next_ix"] < n_jobs or active:
+            if not active:
+                admit()
                 continue
             alive = [p for p in range(n_procs) if p not in dead]
             if not alive:
                 break
-            ready: List[Tuple[_AdmittedJob, int]] = [
-                (st, t)
-                for st in admitted
-                if st.itq
-                for t in st.itq.ready_tasks()
-            ]
-            rows = np.array(
-                [ready_row(st, t, st.arrival) for st, t in ready]
-            )
+            blocks = [ready_block(st) for st in active]
+            rows = np.concatenate([block[2] for block in blocks])
+            w_rows = np.concatenate([block[1] for block in blocks])
             est = np.maximum(rows, avail[None, :])
-            eft = est + np.array([st.w[t] for st, t in ready])
+            eft = est + w_rows
             eft[:, sorted(dead)] = np.inf
             if len(alive) > 1:
                 priorities = np.asarray(eft[:, alive]).std(axis=1, ddof=1)
             else:
-                priorities = np.zeros(len(ready))
+                priorities = np.zeros(len(rows))
             index = int(np.argmax(priorities))
-            st, task = ready[index]
+            for st, (tasks, _, _) in zip(active, blocks):
+                if index < len(tasks):
+                    task = tasks[index]
+                    break
+                index -= len(tasks)
 
             floor = st.arrival
             excluded: set = set(dead)
@@ -633,8 +818,7 @@ class JobStream:
                     and max(row[proc], avail[proc])
                     >= self.instance.jobs[state["next_ix"]].arrival
                 ):
-                    new = self._admit(state)
-                    new.itq = IndependentTaskQueue(new.graph)
+                    admit()
                     held = True
                     break
                 finish = try_dispatch(st, task, proc, row[proc])
@@ -647,6 +831,7 @@ class JobStream:
             if held:
                 continue
             st.itq.complete(task)
+            st.block = None
             if not st.itq:
                 self._finish_job(state, st)
         return self._assemble(state, dead)
@@ -664,7 +849,8 @@ class JobStream:
         n_jobs = len(instance.jobs)
         state = self._setup()
         avail: np.ndarray = state["avail"]
-        admitted: List[_AdmittedJob] = state["admitted"]
+        active: List[_AdmittedJob] = state["active"]
+        inf = float("inf")
 
         def admit_static() -> None:
             st = self._admit(state)
@@ -679,59 +865,66 @@ class JobStream:
                 for timeline in schedule.timelines
             ]
             st.heads = [0] * n_procs
+            st.remaining = sum(len(q) for q in st.queues)
 
-        def remaining(st: _AdmittedJob) -> int:
-            return sum(
-                len(q) - h for q, h in zip(st.queues, st.heads)
-            )
+        def head_ready(st: _AdmittedJob) -> List[float]:
+            """Per-CPU data-ready time of ``st``'s queue heads.
 
-        while state["next_ix"] < n_jobs or any(
-            remaining(st) for st in admitted
-        ):
-            if not any(remaining(st) for st in admitted):
+            ``inf`` marks an exhausted queue or a head whose inputs do
+            not exist yet; cached until the job dispatches again.
+            """
+            if st.head_ready is None:
+                times = []
+                for proc, (queue, head) in enumerate(zip(st.queues, st.heads)):
+                    ready = inf
+                    if head < len(queue):
+                        task, _ = queue[head]
+                        ready = st.arrival
+                        for parent, comm in zip(*st.preds[task]):
+                            t = st.arrival_of(parent, comm, proc)
+                            if t == inf:
+                                ready = inf
+                                break
+                            if t > ready:
+                                ready = t
+                    times.append(ready)
+                st.head_ready = times
+            return st.head_ready
+
+        while state["next_ix"] < n_jobs or active:
+            if not active:
                 admit_static()
                 continue
-            best = None
-            best_start = float("inf")
-            for st in admitted:
-                for proc in range(n_procs):
-                    if st.heads[proc] >= len(st.queues[proc]):
-                        continue
-                    task, _ = st.queues[proc][st.heads[proc]]
-                    ready = st.arrival
-                    for parent in st.graph.predecessors(task):
-                        t = st.arrival_of(parent, task, proc)
-                        if t == float("inf"):
-                            ready = float("inf")
-                            break
-                        if t > ready:
-                            ready = t
-                    start = max(avail[proc], ready)
-                    if start < best_start:
-                        best_start = start
-                        best = (st, proc)
-            if best is None:
+            # the earliest start over every active job's queue heads;
+            # argmin keeps the first of equals in (job, CPU) order
+            starts = np.maximum(
+                np.array([head_ready(st) for st in active]), avail
+            )
+            flat = int(np.argmin(starts))
+            row, proc = divmod(flat, n_procs)
+            if starts[row, proc] == inf:
                 stuck = [
                     st.queues[p][st.heads[p]][0]
-                    for st in admitted
+                    for st in active
                     for p in range(n_procs)
                     if st.heads[p] < len(st.queues[p])
                 ]
                 raise DeadlockError(
                     f"stream replay deadlock; blocked head tasks: {stuck}"
                 )
+            st = active[row]
+            best_start = max(avail[proc], st.head_ready[proc])
             if (
                 state["next_ix"] < n_jobs
                 and best_start >= instance.jobs[state["next_ix"]].arrival
             ):
                 admit_static()
                 continue
-            st, proc = best
             task, is_dup = st.queues[proc][st.heads[proc]]
             duration = st.duration_fn(task, proc)
             finish = best_start + duration
             avail[proc] = finish
-            st.copies.setdefault(task, []).append((proc, finish))
+            st.add_copy(task, proc, finish)
             if not is_dup:
                 if task in st.finish_times:
                     raise ValueError(
@@ -747,7 +940,8 @@ class JobStream:
                 ),
             )
             st.heads[proc] += 1
-            if not remaining(st):
+            st.remaining -= 1
+            if not st.remaining:
                 missing = [
                     t for t in st.graph.tasks() if t not in st.finish_times
                 ]

@@ -109,6 +109,46 @@ class TestInvariantsHold:
 
 
 # ----------------------------------------------------------------------
+# scale tier: the stream lengths the arena actually runs at
+# ----------------------------------------------------------------------
+@pytest.mark.slow
+class TestInvariantsHoldAtScale:
+    """Conservation, no-overlap and precedence over hundreds of jobs.
+
+    The light rate keeps a few jobs in flight; the heavy rate overloads
+    the fleet, so the in-flight set grows to dozens of interleaved jobs
+    and every retirement, slot-index and row-cache path is exercised.
+    """
+
+    @pytest.mark.parametrize("policy", ("OnlineHDLTS", "Static/HEFT"))
+    @pytest.mark.parametrize("rate", (0.002, 0.02))
+    def test_long_streams_replay_clean(self, policy, rate):
+        instance = build_workload(
+            21, x=rate, n_jobs=240, v=12, n_procs=4, sigma=0.2
+        )
+        result = run_stream(instance, policy)
+        report = run_stream_invariants(instance, result)
+        assert report.ok, "\n".join(report.all_problems())
+        assert len(result.finished_jobs()) == 240
+
+    def test_mid_stream_failstop_replays_clean(self):
+        instance = build_workload(
+            22, x=0.02, n_jobs=240, v=12, n_procs=4, sigma=0.2
+        )
+        midpoint = instance.jobs[120].arrival
+        result = run_stream(
+            instance, "OnlineHDLTS", failures=[FailStop(2, midpoint)]
+        )
+        report = run_stream_invariants(instance, result)
+        assert report.ok, "\n".join(report.all_problems())
+        assert result.dead_procs == (2,)
+        assert result.n_lost_dispatches == 1
+        assert len(result.finished_jobs()) == 240
+        # the survivors carry on after the failure
+        assert max(r.finish for r in result.records) > midpoint
+
+
+# ----------------------------------------------------------------------
 # the oracles must catch tampered executions
 # ----------------------------------------------------------------------
 class TestInvariantsCatchTampering:
