@@ -679,8 +679,9 @@ class JobStream:
             """(ready tasks, their W rows, their ready rows) for ``st``.
 
             The rows without the duplication shortcut are cached until
-            the job records a copy; the shortcut depends on other jobs'
-            slots, so the rows it touches are rebuilt on every event.
+            the job records a copy or its ready set changes; the
+            shortcut depends on other jobs' slots, so the rows it
+            touches are rebuilt on every event.
             """
             if st.block is None:
                 tasks = st.itq.ready_tasks()
