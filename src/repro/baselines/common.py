@@ -5,12 +5,12 @@ minimizing an EFT-derived objective.  These helpers compute EST/EFT
 against the live schedule (Definitions 5-7) with optional HEFT-style
 insertion, and commit the placement.
 
-When an :class:`~repro.core.engine.EFTEngine` is passed, the ready-time
-computation runs vectorized from the engine's incremental per-task
-arrival arrays instead of the per-CPU Python loops -- bit-identical
+When a :class:`~repro.core.engine.StaticEFTEngine` is passed, the
+ready-time computation runs from the engine's incremental per-task
+finish times instead of the per-CPU Python loops -- bit-identical
 results (the engine maintains exactly the quantities the loops
-recompute), one vectorized pass per task instead of one parent x copy
-scan per CPU.
+recompute), one pass over the parents per task instead of one parent x
+copy scan per CPU.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.runtime.context import ENGINE_CHOICES, resolve_engine
 from repro.schedule.schedule import Assignment, Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.engine import EFTEngine
+    from repro.core.engine import StaticEFTEngine
 
 __all__ = [
     "ENGINE_CHOICES",
@@ -40,23 +40,17 @@ __all__ = [
 def make_engine(schedule: Schedule, engine: Optional[str] = None):
     """Resolve a baseline's ``engine=`` parameter to an engine (or None).
 
-    ``None`` defers to the active run context.  ``"fast"`` builds an
-    EFT engine over the (possibly pre-populated) schedule -- the scalar
-    :class:`~repro.core.engine.StaticEFTEngine` over the compiled graph
-    when the compiled layer is enabled, the vectorized
-    :class:`~repro.core.engine.EFTEngine` otherwise (both are
-    bit-identical); ``"reference"`` selects the original scalar code
-    path.
+    ``None`` defers to the active run context.  ``"fast"`` builds the
+    scalar :class:`~repro.core.engine.StaticEFTEngine` over the
+    (possibly pre-populated) schedule and its compiled graph;
+    ``"reference"`` selects the original scalar code path.
     """
     engine = resolve_engine(engine)
     if engine == "reference":
         return None
-    from repro.core.engine import EFTEngine, StaticEFTEngine
-    from repro.model.compiled import compiled_enabled
+    from repro.core.engine import StaticEFTEngine
 
-    if compiled_enabled():
-        return StaticEFTEngine(schedule)
-    return EFTEngine(schedule)
+    return StaticEFTEngine(schedule)
 
 
 def est_eft(
@@ -88,7 +82,7 @@ def place_min_eft(
     insertion: bool = True,
     procs: Optional[Iterable[int]] = None,
     objective: Optional[Callable[[int, float], float]] = None,
-    engine: Optional["EFTEngine"] = None,
+    engine: Optional["StaticEFTEngine"] = None,
 ) -> Assignment:
     """Commit ``task`` to the CPU minimizing EFT (or a custom objective).
 
@@ -99,11 +93,9 @@ def place_min_eft(
     tie-break semantics (strict 1e-12 improvement) stay bit-identical.
     """
     if procs is None and engine is not None:
-        place_best = getattr(engine, "place_best", None)
-        if place_best is not None:
-            # the scalar engine fuses EST/EFT, the identical selection
-            # loop and the commit into one call frame
-            return place_best(task, insertion, objective)
+        # the engine fuses EST/EFT, the identical selection loop and the
+        # commit into one call frame
+        return engine.place_best(task, insertion, objective)
     graph = schedule.graph
     candidates = list(procs) if procs is not None else graph.procs()
     if not len(candidates):

@@ -7,7 +7,6 @@ min-EFT CPU selection, and effective entry-task duplication (Algorithm 1).
 """
 
 from repro.core.base import Scheduler, SchedulingResult
-from repro.core.engine import EFTEngine
 from repro.core.hdlts import HDLTS, PriorityRule
 from repro.core.itq import IndependentTaskQueue
 from repro.core.duplication import entry_duplication_plan, DuplicationDecision
@@ -16,7 +15,6 @@ from repro.core.trace import TraceStep, format_trace
 __all__ = [
     "Scheduler",
     "SchedulingResult",
-    "EFTEngine",
     "HDLTS",
     "PriorityRule",
     "IndependentTaskQueue",

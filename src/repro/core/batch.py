@@ -601,9 +601,10 @@ def _gather_ready(
     """(K, p) Definition-5 ready rows for (lane, task) pairs.
 
     Per pair: ``max over parents of min(LF[parent], BF[parent] + comm)``
-    floored at 0 -- bit-identical to ``StaticEFTEngine.ready_vector`` /
-    ``EFTEngine._ready_row`` (min/max reductions are order-free and the
-    single ``BF + comm`` addition per parent edge is preserved).
+    floored at 0 -- bit-identical to ``StaticEFTEngine.ready_vector``
+    and to the HDLTS fast kernel's ready rows (min/max reductions are
+    order-free and the single ``BF + comm`` addition per parent edge is
+    preserved).
 
     Parents here are single-copy tasks (never the duplicable entry), so
     ``LF[parent]`` is ``fin_of`` on ``proc_of`` and ``+inf`` elsewhere:

@@ -1,311 +1,237 @@
-"""Incremental vectorized EFT engine shared by HDLTS and the baselines.
+"""Scalar EFT engines shared by HDLTS and the baselines.
 
 Every list scheduler in this repository evaluates the same kernel at
 each decision: *when can task ``t`` start on CPU ``p`` given the
 schedule built so far?* (Definitions 5-7).  The reference
 implementations answer it with Python loops over ``parents x copies x
-CPUs``; this engine answers it from persistent per-task arrays that are
-updated incrementally as assignments are committed:
+CPUs``; the engines here answer it from per-task state updated as
+assignments are committed, walking the compiled graph's plain-Python
+list mirrors (``w_rows``, ``pred_lists``) with float scalars -- at the
+frontier sizes the schedulers see, NumPy's per-call dispatch costs more
+than the arithmetic.
 
-* ``local_finish[t, p]`` -- earliest finish of a copy of ``t`` *on*
-  CPU ``p`` (``inf`` when none), and ``best_finish[t]`` -- earliest
-  finish of any copy.  The arrival of the edge ``t -> c`` on CPU ``p``
-  (Definition 5) is then one vectorized expression::
+* :class:`StaticEFTEngine` -- ``est_eft(task)`` across all CPUs for the
+  static-list baselines.
+* :class:`EntryWindow` -- Algorithm 1's entry-output arrival for the
+  HDLTS fast path, with a per-CPU memo of the duplication window test
+  (``fits(0, W(entry, p))``) invalidated only when CPU ``p``'s timeline
+  changes.
+* :func:`mean_kernel` / :func:`sample_std_kernel` -- the HDLTS priority
+  rules' row statistics, unrolled per CPU count and summed in NumPy's
+  exact order, so each value is bit-equal to ``eft.mean(axis=1)`` /
+  ``eft.std(axis=1, ddof=1)`` on the same row.
 
-      arrival(t, c) = minimum(local_finish[t], best_finish[t] + comm(t, c))
+The arrival arithmetic is bit-identical to the reference loops:
+``min``/``max`` over the same float64 values reassociate freely, and
+``best_finish + comm`` equals ``min over copies of (finish + comm)``
+exactly because IEEE addition of a common non-negative term is monotone.
 
-  which is exactly ``min over copies of finish + (0 | comm)`` because
-  communication costs are non-negative.
-* ``avail[p]`` -- Definition 3, mirrored from the timelines.
-* a per-CPU memo of Algorithm 1's entry-duplication window test
-  (``fits(0, W(entry, p))``), invalidated only when CPU ``p``'s
-  timeline actually changes, so the hypothetical-duplicate arrival of
-  the entry's output is evaluated once per (child, CPU) *invalidation*
-  instead of once per scheduling step.
-
-Copies are immutable once committed, so an arrival computed from these
-arrays is bit-identical to the reference loops: ``min``/``max`` over
-the same float64 values reassociate freely, and ``best_finish + comm``
-equals ``min over copies of (finish + comm)`` exactly because IEEE
-addition of a common non-negative term is monotone.
-
-The engine is advisory: it never mutates the :class:`Schedule`.  Feed
-it every committed :class:`~repro.schedule.schedule.Assignment` through
-:meth:`notify` (construction ingests whatever is already placed).
+The engines are advisory: they never mutate the :class:`Schedule`
+(except :meth:`StaticEFTEngine.place_best`, which commits its own
+choice).  Feed them every committed
+:class:`~repro.schedule.schedule.Assignment` through ``notify``;
+construction ingests whatever is already placed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+import functools
+import math
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.model.compiled import compile_graph, compiled_enabled
+from repro.model.compiled import compile_graph
 from repro.schedule.schedule import Assignment, Schedule
 from repro.schedule.timeline import _EPS, Slot
 
-__all__ = ["EFTEngine", "StaticEFTEngine"]
-
-
-class EFTEngine:
-    """Incremental EFT evaluation state for one schedule under construction.
-
-    Parameters
-    ----------
-    schedule:
-        The schedule being built; existing assignments are ingested.
-    entry:
-        The graph's entry task, required for the Algorithm-1 aware
-        queries (:meth:`entry_arrival_vector`, :meth:`entry_plan`).
-    hypothetical_entry_dup:
-        When True, entry arrivals account for a *hypothetical* entry
-        duplicate wherever Algorithm 1 would still accept one (HDLTS
-        pillar 1); when False they use committed copies only.
-    """
-
-    def __init__(
-        self,
-        schedule: Schedule,
-        entry: Optional[int] = None,
-        hypothetical_entry_dup: bool = False,
-    ) -> None:
-        self.schedule = schedule
-        graph = schedule.graph
-        self.graph = graph
-        n, p = graph.n_tasks, graph.n_procs
-        # compiled layer: share the instance's read-only cost matrix and
-        # CSR parent arrays instead of rebuilding them per engine
-        compiled = compile_graph(graph) if compiled_enabled() else None
-        self._compiled = compiled
-        self.w = compiled.w if compiled is not None else graph.cost_matrix()
-        self.local_finish = np.full((n, p), np.inf)
-        self.best_finish = np.full(n, np.inf)
-        self.avail = np.zeros(p)
-        self.entry = entry
-        self.hypothetical_entry_dup = bool(hypothetical_entry_dup)
-        # Algorithm-1 window memo: does a duplicate still fit over
-        # [0, W(entry, p))?  Recomputed lazily per dirty CPU.
-        self._dup_fits = np.zeros(p, dtype=bool)
-        self._dup_dirty = np.ones(p, dtype=bool)
-        # per-task (parent ids, edge costs, ids sans entry, costs sans
-        # entry), resolved once per task
-        self._parents: List[
-            Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-        ] = [None] * n
-        # entry -> child communication costs, pre-resolved for the
-        # per-step dirty-column refresh
-        if entry is not None and compiled is not None:
-            self._entry_comm = compiled.entry_comm_vector(entry)
-        else:
-            self._entry_comm = np.zeros(n)
-            if entry is not None:
-                for child in graph.successors(entry):
-                    self._entry_comm[child] = graph.comm_cost(entry, child)
-        # ingest whatever is already committed (order-free: notify is
-        # all min/max updates), without scanning the full task set
-        for assignment in schedule.assignments():
-            self.notify(assignment)
-        for duplicate in schedule.duplicates():
-            self.notify(duplicate)
-
-    # ------------------------------------------------------------------
-    # state maintenance
-    # ------------------------------------------------------------------
-    def notify(self, assignment: Assignment) -> None:
-        """Fold a committed assignment into the incremental arrays."""
-        task, proc, finish = assignment.task, assignment.proc, assignment.finish
-        if finish < self.local_finish[task, proc]:
-            self.local_finish[task, proc] = finish
-        if finish < self.best_finish[task]:
-            self.best_finish[task] = finish
-        self.avail[proc] = self.schedule.timelines[proc].avail
-        self._dup_dirty[proc] = True
-
-    def _parent_arrays(
-        self, task: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        cached = self._parents[task]
-        if cached is None:
-            if self._compiled is not None:
-                cached = self._compiled.parent_arrays(task, self.entry)
-                self._parents[task] = cached
-                return cached
-            parents = self.graph.predecessors(task)
-            ids = np.array(parents, dtype=np.intp)
-            comms = np.array(
-                [self.graph.comm_cost(q, task) for q in parents]
-            )
-            if self.entry is not None and self.entry in parents:
-                keep = ids != self.entry
-                ids_ne, comms_ne = ids[keep], comms[keep]
-            else:
-                ids_ne, comms_ne = ids, comms
-            cached = (ids, comms, ids_ne, comms_ne)
-            self._parents[task] = cached
-        return cached
-
-    # ------------------------------------------------------------------
-    # Definition 5: data arrival / ready times
-    # ------------------------------------------------------------------
-    def arrival_vector(self, parent: int, child: int) -> np.ndarray:
-        """Arrival of the edge ``parent -> child`` data on every CPU."""
-        if not np.isfinite(self.best_finish[parent]):
-            raise ValueError(f"parent {parent} of {child} is not scheduled")
-        comm = self.graph.comm_cost(parent, child)
-        return np.minimum(
-            self.local_finish[parent], self.best_finish[parent] + comm
-        )
-
-    def ready_vector(self, task: int, exclude_entry: bool = False) -> np.ndarray:
-        """Definition 5 on every CPU: when the task's inputs are present.
-
-        ``exclude_entry=True`` drops the entry parent's contribution
-        (HDLTS recombines it with the hypothetical-duplicate arrival).
-        """
-        all_ids, _, ids_ne, comms_ne = self._parent_arrays(task)
-        parents = ids_ne if exclude_entry else all_ids
-        if parents.size:
-            best = self.best_finish[parents]
-            if not np.all(np.isfinite(best)):
-                missing = int(parents[np.argmax(~np.isfinite(best))])
-                raise ValueError(
-                    f"parent {missing} of {task} is not scheduled"
-                )
-        return self._ready_row(task, exclude_entry)
-
-    def _ready_row(self, task: int, exclude_entry: bool) -> np.ndarray:
-        """:meth:`ready_vector` without the scheduled-parents check.
-
-        The HDLTS hot loop only asks about tasks the ITQ has released,
-        whose parents are committed by construction.
-        """
-        ids, comms, ids_ne, comms_ne = self._parent_arrays(task)
-        if exclude_entry:
-            ids, comms = ids_ne, comms_ne
-        if not ids.size:
-            return np.zeros(self.graph.n_procs)
-        arrivals = np.minimum(
-            self.local_finish[ids], (self.best_finish[ids] + comms)[:, None]
-        )
-        return np.maximum(arrivals.max(axis=0), 0.0)
-
-    # ------------------------------------------------------------------
-    # Algorithm 1: hypothetical entry duplication
-    # ------------------------------------------------------------------
-    def _dup_window_free(self) -> np.ndarray:
-        """Per-CPU: an entry duplicate at time 0 still fits (memoized)."""
-        if self._dup_dirty.any():
-            entry = self.entry
-            for proc in np.flatnonzero(self._dup_dirty):
-                self._dup_fits[proc] = self.schedule.timelines[proc].fits(
-                    0.0, self.w[entry, proc]
-                )
-            self._dup_dirty[:] = False
-        return self._dup_fits
-
-    def entry_arrival_vector(self, child: int) -> np.ndarray:
-        """Entry-output arrival on every CPU, hypothetical dup included."""
-        assert self.entry is not None, "engine built without an entry task"
-        via_network = self.arrival_vector(self.entry, child)
-        if not self.hypothetical_entry_dup:
-            return via_network
-        w_entry = self.w[self.entry]
-        dup_ok = self._dup_window_free() & np.isinf(
-            self.local_finish[self.entry]
-        )
-        return np.where(
-            dup_ok & (w_entry < via_network), w_entry, via_network
-        )
-
-    def entry_arrival_column(
-        self, children: Sequence[int], proc: int
-    ) -> np.ndarray:
-        """Entry-output arrival on one CPU for a batch of children."""
-        assert self.entry is not None
-        entry = self.entry
-        comms = self._entry_comm[np.asarray(children, dtype=np.intp)]
-        via = np.minimum(
-            self.local_finish[entry, proc], self.best_finish[entry] + comms
-        )
-        if not self.hypothetical_entry_dup:
-            return via
-        if not (
-            self._dup_window_free()[proc]
-            and np.isinf(self.local_finish[entry, proc])
-        ):
-            return via
-        w_entry = self.w[entry, proc]
-        return np.where(w_entry < via, w_entry, via)
-
-    def entry_plan(self, child: int, proc: int) -> Tuple[bool, float]:
-        """Algorithm 1 for one (child, CPU) pair: (duplicate?, arrival).
-
-        Matches :func:`repro.core.duplication.entry_duplication_plan`
-        decision-for-decision against the live schedule.
-        """
-        assert self.entry is not None
-        entry = self.entry
-        comm = self.graph.comm_cost(entry, child)
-        via = min(
-            float(self.local_finish[entry, proc]),
-            float(self.best_finish[entry]) + comm,
-        )
-        if not self.hypothetical_entry_dup:
-            return False, via
-        if np.isfinite(self.local_finish[entry, proc]):
-            return False, via  # a copy is already local
-        if not self._dup_window_free()[proc]:
-            return False, via
-        dup_finish = float(self.w[entry, proc])
-        if dup_finish < via:
-            return True, dup_finish
-        return False, via
-
-    # ------------------------------------------------------------------
-    # EST / EFT for the static-list baselines
-    # ------------------------------------------------------------------
-    def est_eft(
-        self, task: int, insertion: bool = True
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(EST, EFT) of ``task`` on every CPU against the live schedule."""
-        ready = self.ready_vector(task)
-        costs = self.w[task]
-        timelines = self.schedule.timelines
-        starts = np.array(
-            [
-                timelines[proc].earliest_start_fast(
-                    float(ready[proc]), float(costs[proc]), insertion
-                )
-                for proc in range(len(timelines))
-            ]
-        )
-        return starts, starts + costs
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        placed = int(np.isfinite(self.best_finish).sum())
-        return f"EFTEngine(placed={placed}/{self.graph.n_tasks})"
-
+__all__ = [
+    "EntryWindow",
+    "StaticEFTEngine",
+    "mean_kernel",
+    "sample_std_kernel",
+]
 
 _INF = float("inf")
 
 
+# ----------------------------------------------------------------------
+# row statistics in NumPy's summation order
+# ----------------------------------------------------------------------
+def _sum_expr(terms: Sequence[str]) -> str:
+    """A Python expression adding ``terms`` in NumPy's ``add.reduce`` order.
+
+    NumPy sums a contiguous float64 row pairwise: left to right below 8
+    terms; from 8 to 128 terms in eight strided accumulators, combined
+    as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` before the
+    tail is added left to right; above 128 by recursive halving at a
+    multiple of 8.  (NumPy starts from ``0.0``; adding it changes only
+    a ``-0.0`` sum, which EFT rows never produce.)
+    """
+    n = len(terms)
+    if n < 8:
+        return "(" + " + ".join(terms) + ")"
+    if n <= 128:
+        full = n - n % 8
+        r = ["(" + " + ".join(terms[j:full:8]) + ")" for j in range(8)]
+        blocks = (
+            f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]}))"
+            f" + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+        )
+        return "(" + " + ".join([f"({blocks})", *terms[full:]]) + ")"
+    half = n // 2
+    half -= half % 8
+    return f"({_sum_expr(terms[:half])} + {_sum_expr(terms[half:])})"
+
+
+def _compile_row_kernel(name: str, n_procs: int, body: List[str]):
+    """``def name(row)``: unpack the row into ``e0..e{p-1}``, run ``body``.
+
+    Generated once per CPU count: straight-line code over named locals
+    runs the HDLTS priority rules markedly faster than a loop over the
+    row (see docs/performance.md).
+    """
+    names = [f"e{q}" for q in range(n_procs)]
+    source = "\n    ".join(
+        [f"def {name}(row):", f"{', '.join(names)}, = row", *body]
+    )
+    namespace = {"sqrt": math.sqrt}
+    exec(source, namespace)
+    return namespace[name]
+
+
+@functools.lru_cache(maxsize=None)
+def mean_kernel(n_procs: int) -> Callable[[Sequence[float]], float]:
+    """Mean of an ``n_procs``-float row, bit-equal to NumPy's ``mean``."""
+    if n_procs < 1:
+        raise ValueError(f"n_procs must be >= 1, got {n_procs}")
+    total = _sum_expr([f"e{q}" for q in range(n_procs)])
+    return _compile_row_kernel(
+        f"mean_{n_procs}", n_procs, [f"return {total} / {n_procs}"]
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def sample_std_kernel(n_procs: int) -> Callable[[Sequence[float]], float]:
+    """Sample std (ddof=1) of an ``n_procs``-float row, unrolled.
+
+    The same IEEE operations ``np.std(ddof=1)`` runs on a row, in the
+    same order: sum, ``/ p``, deviations, squares, sum, ``/ (p - 1)``,
+    square root -- so the penalty value (Eq. 8) is bit-equal to it.
+    """
+    if n_procs < 2:
+        raise ValueError(f"a sample std needs n_procs >= 2, got {n_procs}")
+    total = _sum_expr([f"e{q}" for q in range(n_procs)])
+    squares = _sum_expr([f"d{q} * d{q}" for q in range(n_procs)])
+    return _compile_row_kernel(
+        f"pv_{n_procs}",
+        n_procs,
+        [f"m = {total} / {n_procs}"]
+        + [f"d{q} = e{q} - m" for q in range(n_procs)]
+        + [f"return sqrt({squares} / {n_procs - 1})"],
+    )
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1: the entry output's arrival, hypothetical duplicate included
+# ----------------------------------------------------------------------
+class EntryWindow:
+    """Arrival of the entry task's output per CPU, Algorithm 1 included.
+
+    Tracks the entry's committed copies (``local[p]``: earliest finish
+    of a copy on CPU ``p``; ``best``: earliest finish anywhere) and a
+    per-CPU memo of whether a hypothetical duplicate still fits over
+    ``[0, W(entry, p))`` with no copy already local.  Every query matches
+    :func:`repro.core.duplication.entry_duplication_plan` against the
+    live schedule, decision for decision.
+
+    Parameters
+    ----------
+    schedule:
+        The schedule being built; existing entry copies are ingested.
+    entry:
+        The graph's entry task.
+    allow_duplication:
+        When False, arrivals use committed copies only.
+    """
+
+    def __init__(
+        self, schedule: Schedule, entry: int, allow_duplication: bool = True
+    ) -> None:
+        self.entry = entry
+        self.allow_duplication = bool(allow_duplication)
+        self._timelines = schedule.timelines
+        self._w = compile_graph(schedule.graph).w_rows[entry]
+        n_procs = len(self._timelines)
+        self.local: List[float] = [_INF] * n_procs
+        self.best = _INF
+        # W(entry, p) while a duplicate is still possible on p, else
+        # +inf; None marks a CPU whose timeline changed since the test
+        self._dup_cost: List[Optional[float]] = [None] * n_procs
+        for copy in schedule.copies(entry):
+            self.notify(copy)
+
+    def notify(self, assignment: Assignment) -> None:
+        """Fold a commit on ``assignment.proc`` into the window state."""
+        proc = assignment.proc
+        if assignment.task == self.entry:
+            finish = assignment.finish
+            if finish < self.local[proc]:
+                self.local[proc] = finish
+            if finish < self.best:
+                self.best = finish
+        self._dup_cost[proc] = None
+
+    def _duplicate_cost(self, proc: int) -> float:
+        cost = self._dup_cost[proc]
+        if cost is None:
+            cost = self._w[proc]
+            if not (
+                self.allow_duplication
+                and self.local[proc] == _INF
+                and self._timelines[proc].fits(0.0, cost)
+            ):
+                cost = _INF
+            self._dup_cost[proc] = cost
+        return cost
+
+    def plan(self, comm: float, proc: int) -> Tuple[bool, float]:
+        """Algorithm 1 on ``proc`` for a child fed over an edge of cost
+        ``comm``: (duplicate?, arrival of the entry's output)."""
+        via = self.best + comm
+        local = self.local[proc]
+        if local < via:
+            via = local
+        duplicate = self._duplicate_cost(proc)
+        if duplicate < via:
+            return True, duplicate
+        return False, via
+
+    def arrival(self, comm: float, proc: int) -> float:
+        """The entry output's arrival on ``proc`` (see :meth:`plan`)."""
+        return self.plan(comm, proc)[1]
+
+    def arrival_row(self, comm: float) -> List[float]:
+        """The entry output's arrival on every CPU."""
+        return [self.plan(comm, q)[1] for q in range(len(self.local))]
+
+
+# ----------------------------------------------------------------------
+# the static-list baselines' engine
+# ----------------------------------------------------------------------
 class StaticEFTEngine:
-    """Scalar EFT engine for the static-list baselines (compiled path).
+    """Scalar EFT engine for the static-list baselines.
 
     The static baselines (HEFT, PETS, PEFT, SDBATS, ...) issue exactly
     one query shape: ``est_eft(task)`` across *all* CPUs for a task
-    whose parents are already committed, with small fan-in.  At that
-    scale numpy's per-call dispatch overhead exceeds the arithmetic, so
-    this engine walks the compiled graph's plain-Python list mirrors
-    with float scalars instead.  Every value is bit-identical to
-    :class:`EFTEngine`: the same IEEE-754 float64 operations run in the
-    same order (``min``/``max`` reductions are order-free, and the
-    single ``best_finish + comm`` addition per parent is preserved).
+    whose parents are already committed, with small fan-in.  Every value
+    is bit-identical to the reference loops: the same IEEE-754 float64
+    operations run in the same order (``min``/``max`` reductions are
+    order-free, and the single ``best_finish + comm`` addition per
+    parent is preserved).
 
-    Like :class:`EFTEngine` it is advisory -- feed committed
-    assignments through :meth:`notify`; construction ingests whatever
-    the schedule already holds (SDBATS pre-places entry duplicates).
+    Advisory -- feed committed assignments through :meth:`notify`;
+    construction ingests whatever the schedule already holds (SDBATS
+    pre-places entry duplicates).
     """
 
     def __init__(
@@ -452,7 +378,6 @@ class StaticEFTEngine:
             timeline._ends.append(end)
             timeline._max_end = end
             timeline._busy += duration
-            timeline._gap_cache = None
         else:
             timeline.reserve(task, best_start, duration)
         assignment = Assignment(task, best_proc, best_start, end)

@@ -14,13 +14,15 @@ ablated:
 
 Two interchangeable execution paths implement the identical algorithm:
 
-* ``engine="fast"`` (the default) runs on the incremental vectorized
-  EFT engine (:mod:`repro.core.engine`): one persistent
-  ``(n_tasks x n_procs)`` ready-time matrix updated only where the last
-  commit could have changed it (the released tasks' rows, and -- because
-  a commit on CPU ``p`` may close Algorithm 1's duplication window there
-  -- the entry children's ``p`` column), vectorized arrival computation,
-  and a batch insertion-gap scan;
+* ``engine="fast"`` (the default) is an incremental kernel on plain
+  Python floats over the compiled graph's list mirrors (``w_rows``,
+  ``pred_lists``).  It keeps a ready row, an EFT row and a priority per
+  ITQ task.  A commit on CPU ``p`` dirties only column ``p``: the new
+  ``Avail`` (or, in insertion mode, one gap scan per row on timeline
+  ``p``) and, because the commit may close Algorithm 1's duplication
+  window there, the entry children's ``p`` cell.  A priority is
+  recomputed only when its row changed, with unrolled per-CPU-count
+  kernels bit-equal to NumPy (:mod:`repro.core.engine`);
 * ``engine="reference"`` is the original loop-per-parent/CPU
   implementation, kept as the differential-testing oracle.
 
@@ -33,22 +35,32 @@ reproduced bit-exactly by the test suite.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core.base import Scheduler
 from repro.core.duplication import entry_duplication_plan
-from repro.core.engine import EFTEngine
+from repro.core.engine import EntryWindow, mean_kernel, sample_std_kernel
 from repro.core.itq import IndependentTaskQueue
 from repro.core.trace import TraceRecorder, TraceStep
+from repro.model.compiled import compile_graph
 from repro.model.task_graph import TaskGraph
+from repro.obs.spans import phase_spans_enabled
 from repro.runtime.context import resolve_engine
 from repro.schedule.schedule import Schedule
 
 __all__ = ["HDLTS", "PriorityRule"]
+
+_UNTIMED = contextlib.nullcontext()
+
+
+def _untimed(name: str) -> contextlib.nullcontext:
+    """Stand-in for :func:`repro.obs.phase` on runs nobody is timing."""
+    return _UNTIMED
 
 
 class PriorityRule(str, enum.Enum):
@@ -85,7 +97,7 @@ class HDLTS(Scheduler):
         Keep a per-step :class:`~repro.core.trace.TraceStep` record
         (costs memory on big graphs; required to print Table I).
     engine:
-        ``"fast"`` (incremental vectorized engine) or ``"reference"``
+        ``"fast"`` (incremental scalar kernel) or ``"reference"``
         (the original per-parent/CPU loops); ``None`` (the default)
         defers to the active :class:`~repro.runtime.context.RunContext`
         (``"fast"`` unless overridden).  Both produce bit-identical
@@ -140,129 +152,110 @@ class HDLTS(Scheduler):
         return schedule
 
     # ------------------------------------------------------------------
-    # fast path: incremental vectorized EFT engine
+    # fast path: incremental scalar kernel over the compiled graph
     # ------------------------------------------------------------------
     def _build_fast(self, graph: TaskGraph, entry: int, bus) -> Schedule:
         n_tasks, n_procs = graph.n_tasks, graph.n_procs
+        compiled = compile_graph(graph)
+        w_rows = compiled.w_rows
+        pred_lists = compiled.pred_lists
         schedule = Schedule(graph)
-        itq = IndependentTaskQueue(graph)
-        engine = EFTEngine(
-            schedule, entry=entry, hypothetical_entry_dup=self.duplicate_entry
-        )
-        w = engine.w
-        avail = engine.avail
         timelines = schedule.timelines
+        itq = IndependentTaskQueue(graph)
+        window = EntryWindow(schedule, entry, self.duplicate_entry)
+        duplicate_entry = self.duplicate_entry
         insertion = self.use_insertion
         entry_children = set(graph.successors(entry))
-        # the paper's PV rule gets a hand-expanded sample-std kernel
-        # below (same ufunc sequence numpy's ``std`` runs, an order of
-        # magnitude less call overhead); every other rule goes through
-        # ``_priorities`` unchanged
-        pv_rule = (
-            self.priority is PriorityRule.PENALTY_VALUE and n_procs > 1
-        )
-        # counter keys, built once: the hot loop increments thousands of
-        # times and f-string assembly would dominate the disabled path
-        c_eft = f"{self.name}/eft_evaluations"
-        c_scan = f"{self.name}/insertion_scans"
-        c_rows = f"{self.name}/ready_rows_recomputed"
-        c_cols = f"{self.name}/entry_child_col_refreshes"
-        c_decide = f"{self.name}/decisions"
-        c_dup_yes = f"{self.name}/duplication_accepted"
-        c_dup_no = f"{self.name}/duplication_rejected"
+        score = self._row_score(n_procs)
+        if self.priority is PriorityRule.UPWARD_RANK:
+            prio = self._rank_u.tolist()
+        else:
+            prio = [0.0] * n_tasks
+        # observability resolved once per run: counts stay in locals and
+        # land in the registry at the end; phases open only while timed
+        recording = obs.enabled()
+        phase = obs.phase if recording or phase_spans_enabled() else _untimed
 
-        # the persistent ready-time matrix (Definition 5 per CPU,
-        # including the hypothetical entry duplicate of Algorithm 1);
-        # rows are valid only for tasks currently in the ITQ
-        ready = np.zeros((n_tasks, n_procs))
-        # for entry children: the stable non-entry parents' component,
-        # so a dirty-column refresh only recombines the entry arrival
-        non_entry = np.zeros((n_tasks, n_procs))
-        # insertion mode: persistent EST matrix.  A row depends only on
-        # the task's ready row and the per-CPU timelines, so a commit on
-        # CPU ``p`` invalidates exactly column ``p`` (plus the released
-        # tasks' fresh rows) -- one batch gap scan per step instead of
-        # |ITQ| x CPUs scalar scans.
-        est_mat = np.zeros((n_tasks, n_procs)) if insertion else None
+        # committed primaries (every non-entry task has exactly one copy)
+        finish = [0.0] * n_tasks
+        home = [0] * n_tasks
+        avail = [0.0] * n_procs
+        # per-ITQ-task state: the ready row (Definition 5 per CPU, with
+        # Algorithm 1's hypothetical entry duplicate), the EFT row and
+        # the priority; a commit on CPU ``p`` dirties only column ``p``
+        ready: List[Optional[List[float]]] = [None] * n_tasks
+        eft: List[Optional[List[float]]] = [None] * n_tasks
+        # the entry children in the ITQ, each with its non-entry parents'
+        # component, so a column refresh recombines one cell; and the
+        # entry edge cost of every released entry child
+        non_entry: Dict[int, List[float]] = {}
+        entry_comm: Dict[int, float] = {}
+
+        def release(task: int) -> None:
+            parents, comms = pred_lists[task]
+            row = [0.0] * n_procs
+            for parent, comm in zip(parents, comms):
+                if parent == entry:
+                    entry_comm[task] = comm
+                    continue
+                # arrival: finish on the parent's CPU, finish + comm
+                # elsewhere
+                done = finish[parent]
+                via = done + comm
+                own = home[parent]
+                kept = row[own]
+                row = [r if r > via else via for r in row]
+                row[own] = done if done > kept else kept
+            if task in entry_children:
+                non_entry[task] = row
+                row = [
+                    a if a > r else r
+                    for a, r in zip(window.arrival_row(entry_comm[task]), row)
+                ]
+            costs = w_rows[task]
+            if insertion:
+                row_eft = [
+                    tl.earliest_start_fast(r, c, True) + c
+                    for tl, r, c in zip(timelines, row, costs)
+                ]
+            else:
+                row_eft = [
+                    (r if r > a else a) + c
+                    for r, a, c in zip(row, avail, costs)
+                ]
+            ready[task] = row
+            eft[task] = row_eft
+            if score is not None:
+                prio[task] = score(row_eft)
 
         # the ITQ frontier as a sorted id list (ascending id is the
-        # reference tie-break order) and its entry-children subset
-        ready_ids: List[int] = []
-        pending_entry: List[int] = []
+        # reference tie-break order)
+        ready_ids = itq.ready_tasks()
+        for task in ready_ids:
+            release(task)
 
-        def refresh_row(task: int) -> None:
-            if task in entry_children:
-                non_entry[task] = engine._ready_row(task, True)
-                np.maximum(
-                    non_entry[task],
-                    engine.entry_arrival_vector(task),
-                    out=ready[task],
-                )
-            else:
-                ready[task] = engine._ready_row(task, False)
-            if insertion:
-                row = ready[task]
-                costs = w[task]
-                dest = est_mat[task]
-                for q in range(n_procs):
-                    dest[q] = timelines[q].earliest_start_fast(
-                        row[q], costs[q], insertion=True
-                    )
-
-        for task in itq.ready_tasks():
-            ready_ids.append(task)
-            if task in entry_children:
-                pending_entry.append(task)
-            refresh_row(task)
-
-        step = 0
-        rl_arr = np.array(ready_ids, dtype=np.intp)
+        step = cells = rows = cols = dup_yes = dup_no = 0
+        priority_of = prio.__getitem__
         while ready_ids:
             step += 1
-            with obs.phase("eft_vector"):
-                if insertion:
-                    est = est_mat[rl_arr]
-                    obs.count(c_scan, est.size)
-                else:
-                    est = np.maximum(ready[rl_arr], avail[None, :])
-                # est is a fresh array either way (fancy indexing
-                # copies), so the add can run in place: same ufunc,
-                # same operand order, one allocation less per step
-                eft = est
-                eft += w[rl_arr]
-                obs.count(c_eft, eft.size)
-
-            if pv_rule:
-                # eft.std(axis=1, ddof=1) expanded into the identical
-                # ufunc sequence (bit-equal results, ~2.5x cheaper)
-                mean = np.add.reduce(eft, axis=1, keepdims=True)
-                mean /= n_procs
-                dev = eft - mean
-                dev *= dev
-                var = np.add.reduce(dev, axis=1)
-                var /= n_procs - 1
-                priorities = np.sqrt(var)
-            else:
-                priorities = self._priorities(eft, ready_ids)
-            index = int(priorities.argmax())  # first max -> lowest task id
-            task = ready_ids[index]
-            proc = int(eft[index].argmin())  # first min -> lowest CPU
+            with phase("eft_vector"):
+                cells += len(ready_ids)
+                # first max -> lowest task id; first min -> lowest CPU
+                task = max(ready_ids, key=priority_of)
+                task_eft = eft[task]
+                proc = task_eft.index(min(task_eft))
 
             duplicated_on: Tuple[int, ...] = ()
-            if (
-                self.duplicate_entry
-                and task != entry
-                and task in entry_children
-            ):
-                with obs.phase("duplication_check"):
-                    duplicate, arrival = engine.entry_plan(task, proc)
+            if duplicate_entry and task in entry_children:
+                with phase("duplication_check"):
+                    duplicate, arrival = window.plan(entry_comm[task], proc)
                     if duplicate:
-                        engine.notify(
+                        window.notify(
                             schedule.place(entry, proc, 0.0, duplicate=True)
                         )
                         duplicated_on = (proc,)
                 if duplicate:
-                    obs.count(c_dup_yes)
+                    dup_yes += 1
                     if bus.active:
                         bus.emit(
                             "scheduler.duplication",
@@ -273,15 +266,15 @@ class HDLTS(Scheduler):
                             arrival=arrival,
                         )
                 else:
-                    obs.count(c_dup_no)
+                    dup_no += 1
 
-            # the committed start comes from live state; the ready matrix
-            # cell already equals it (a materialized duplicate realizes
+            # the committed start comes from live state; the ready cell
+            # already equals it (a materialized duplicate realizes
             # exactly the hypothetical arrival the cell was built from)
-            with obs.phase("commit"):
+            with phase("commit"):
                 timeline = timelines[proc]
-                cost = float(w[task, proc])
-                r = float(ready[task, proc])
+                cost = w_rows[task][proc]
+                r = ready[task][proc]
                 if insertion:
                     start = timeline.earliest_start_fast(
                         r, cost, insertion=True
@@ -291,11 +284,11 @@ class HDLTS(Scheduler):
                     # max(ready, Avail) on the chosen CPU
                     avail_p = timeline._max_end
                     start = r if r > avail_p else avail_p
-                # w mirrors the graph's cost table bit-for-bit, so the
-                # duration pass-through skips place()'s own lookup
                 assignment = schedule.place(task, proc, start, cost)
-                engine.notify(assignment)
-            obs.count(c_decide)
+                finish[task] = assignment.finish
+                home[task] = proc
+                avail[proc] = timeline._max_end
+                window.notify(assignment)
 
             if bus.active:
                 bus.emit(
@@ -303,54 +296,92 @@ class HDLTS(Scheduler):
                     scheduler=self.name,
                     step=step,
                     ready_tasks=tuple(ready_ids),
-                    priorities=tuple(float(v) for v in priorities),
+                    priorities=tuple(prio[t] for t in ready_ids),
                     selected=task,
-                    eft=tuple(float(v) for v in eft[index]),
+                    eft=tuple(task_eft),
                     chosen_proc=proc,
                     start=assignment.start,
                     finish=assignment.finish,
                     duplicated_on=duplicated_on,
                 )
 
-            with obs.phase("ready_update"):
+            with phase("ready_update"):
                 released = itq.complete(task)
-                del ready_ids[index]
-                if task in entry_children:
-                    pending_entry.remove(task)
+                ready_ids.remove(task)
+                ready[task] = eft[task] = None
+                non_entry.pop(task, None)
                 for fresh in released:
                     bisect.insort(ready_ids, fresh)
-                    if fresh in entry_children:
-                        bisect.insort(pending_entry, fresh)
-                    refresh_row(fresh)
+                    release(fresh)
 
-                # the commit (and any duplicate) only touched ``proc``;
-                # the hypothetical-duplication window of pending entry
-                # children may have changed there, so refresh that
-                # dirty column (their non-entry component is immutable).
-                if pending_entry:
-                    arrivals = engine.entry_arrival_column(
-                        pending_entry, proc
-                    )
-                    ready[pending_entry, proc] = np.maximum(
-                        arrivals, non_entry[pending_entry, proc]
-                    )
-                rl_arr = np.fromiter(
-                    ready_ids, dtype=np.intp, count=len(ready_ids)
-                )
-                if insertion and ready_ids:
-                    # CPU ``proc``'s timeline changed (and the pending
-                    # entry children's ready column with it): one batch
-                    # gap scan re-derives the whole EST column
-                    with obs.phase("insertion_scan"):
-                        est_mat[rl_arr, proc] = timelines[
-                            proc
-                        ].earliest_start_batch(
-                            ready[rl_arr, proc], w[rl_arr, proc],
-                            insertion=True,
-                        )
-            obs.count(c_rows, len(released))
-            obs.count(c_cols, len(pending_entry))
+                # the commit (and any duplicate) only touched ``proc``:
+                # the pending entry children's duplication window may
+                # have closed there (their non-entry part is immutable)
+                for child, base_row in non_entry.items():
+                    arrival = window.arrival(entry_comm[child], proc)
+                    base = base_row[proc]
+                    ready[child][proc] = arrival if arrival > base else base
+
+                # re-derive column ``proc`` of every EFT row; a priority
+                # is recomputed only where its row changed
+                if insertion:
+                    if ready_ids:
+                        with phase("insertion_scan"):
+                            for t in ready_ids:
+                                c = w_rows[t][proc]
+                                new = timeline.earliest_start_fast(
+                                    ready[t][proc], c, True
+                                ) + c
+                                row = eft[t]
+                                if new != row[proc]:
+                                    row[proc] = new
+                                    if score is not None:
+                                        prio[t] = score(row)
+                else:
+                    avail_p = avail[proc]
+                    for t in ready_ids:
+                        r = ready[t][proc]
+                        new = (r if r > avail_p else avail_p) + w_rows[t][proc]
+                        row = eft[t]
+                        if new != row[proc]:
+                            row[proc] = new
+                            if score is not None:
+                                prio[t] = score(row)
+            rows += len(released)
+            cols += len(non_entry)
+
+        if recording and step:
+            n_cells = cells * n_procs
+            if insertion:
+                obs.count(f"{self.name}/insertion_scans", n_cells)
+            obs.count(f"{self.name}/eft_evaluations", n_cells)
+            obs.count(f"{self.name}/decisions", step)
+            obs.count(f"{self.name}/ready_rows_recomputed", rows)
+            obs.count(f"{self.name}/entry_child_col_refreshes", cols)
+            if dup_yes:
+                obs.count(f"{self.name}/duplication_accepted", dup_yes)
+            if dup_no:
+                obs.count(f"{self.name}/duplication_rejected", dup_no)
         return schedule
+
+    def _row_score(self, n_procs: int) -> Optional[Callable[[List[float]], float]]:
+        """The priority rule as a function of one EFT row.
+
+        ``None`` when the priority does not depend on the row: the
+        upward rank, and the penalty value on one CPU (defined as 0).
+        Each function returns exactly what :meth:`_priorities` computes
+        for that row.
+        """
+        rule = self.priority
+        if rule is PriorityRule.PENALTY_VALUE:
+            return sample_std_kernel(n_procs) if n_procs > 1 else None
+        if rule is PriorityRule.EFT_RANGE:
+            return lambda row: max(row) - min(row)
+        if rule is PriorityRule.MEAN_EFT:
+            return mean_kernel(n_procs)
+        if rule is PriorityRule.MIN_EFT_FIRST:
+            return lambda row: -min(row)
+        return None
 
     # ------------------------------------------------------------------
     # reference path: the original per-parent/CPU loops (the oracle)

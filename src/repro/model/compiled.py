@@ -28,12 +28,14 @@ order (``comm + rank``, ``(rank + w) + comm``, ...) term for term.
 
 Compiled views are cached on the graph through its version-keyed
 derived cache, so mutating the graph invalidates the compiled form
-automatically.  Whether consumers route through the layer at all is a
-field of the active :class:`~repro.runtime.context.RunContext`
-(``compiled=True`` by default): the differential tests and the
-throughput benchmark flip it to pit the two paths against each other on
-identical inputs, and the parallel sweep runner ships it to workers so
-every start method agrees.  :func:`use_compiled` survives as a thin
+automatically.  Whether rank, attribute and metric consumers route
+through the layer is a field of the active
+:class:`~repro.runtime.context.RunContext` (``compiled=True`` by
+default): the differential tests and the throughput benchmark flip it
+to pit the two paths against each other on identical inputs, and the
+parallel sweep runner ships it to workers so every start method agrees.
+The fast EFT engines (:mod:`repro.core.engine`, HDLTS's fast path)
+read the list mirrors in either mode.  :func:`use_compiled` survives as a thin
 deprecated shim over the context.
 """
 
@@ -75,8 +77,8 @@ def use_compiled(enabled: bool) -> Iterator[None]:
         :class:`~repro.runtime.context.RunContext` instead.
 
     ``use_compiled(False)`` reproduces the pre-compiled code paths
-    exactly (per-run ``cost_matrix()`` copies, scalar rank recursions,
-    dict-based parent walks) -- the oracle the differential suite and
+    exactly (per-run ``cost_matrix()`` copies, scalar rank recursions)
+    -- the oracle the differential suite and
     ``benchmarks/bench_compile_cache.py`` compare against.
     """
     from repro.runtime.deprecation import warn_once
@@ -175,10 +177,6 @@ class CompiledGraph:
         ]
 
         self._artifacts: Dict[object, object] = {}
-        self._parent_arrays: Dict[
-            Tuple[int, Optional[int]],
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
         self._up_batches_cache: Optional[List[Tuple]] = None
         self._down_batches_cache: Optional[List[Tuple]] = None
 
@@ -227,39 +225,6 @@ class CompiledGraph:
         """(parent ids, edge costs) of ``task`` as read-only views."""
         lo, hi = self.pred_indptr[task], self.pred_indptr[task + 1]
         return self.pred_ids[lo:hi], self.pred_costs[lo:hi]
-
-    def parent_arrays(
-        self, task: int, entry: Optional[int]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, costs, ids sans entry, costs sans entry) for one task.
-
-        The shape the :class:`~repro.core.engine.EFTEngine` keys its
-        arrival expressions on; cached here so every engine built over
-        the same instance shares one resolution pass.
-        """
-        key = (task, entry)
-        cached = self._parent_arrays.get(key)
-        if cached is None:
-            ids, costs = self.pred_slice(task)
-            if entry is not None and ids.size and bool((ids == entry).any()):
-                keep = ids != entry
-                ids_ne, costs_ne = ids[keep], costs[keep]
-            else:
-                ids_ne, costs_ne = ids, costs
-            cached = (ids, costs, ids_ne, costs_ne)
-            self._parent_arrays[key] = cached
-        return cached
-
-    def entry_comm_vector(self, entry: int) -> np.ndarray:
-        """Dense ``entry -> child`` communication costs (0 elsewhere)."""
-
-        def build() -> np.ndarray:
-            out = np.zeros(self.n_tasks)
-            ids, costs = self.succ_slice(entry)
-            out[ids] = costs
-            return _readonly(out)
-
-        return self._artifact(("entry_comm", entry), build)
 
     # ------------------------------------------------------------------
     # artifact cache

@@ -15,8 +15,6 @@ from __future__ import annotations
 import bisect
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 __all__ = ["Slot", "ProcessorTimeline"]
 
 _EPS = 1e-9
@@ -67,11 +65,6 @@ class ProcessorTimeline:
         # whether _ends is non-decreasing (a boundary point slot within
         # eps of a real end can break it); maintained on reserve/remove
         self._ends_monotone = True
-        # lazy (starts, ends, prev_end, indices) ndarray snapshot for
-        # the batch gap scan; invalidated on reserve/remove
-        self._gap_cache: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -182,72 +175,19 @@ class ProcessorTimeline:
         # appending after everything always fits
         return max(ready, self.avail)
 
-    def earliest_start_batch(
-        self,
-        ready: np.ndarray,
-        durations: np.ndarray,
-        insertion: bool = False,
-    ) -> np.ndarray:
-        """Vectorized :meth:`earliest_start` over many (ready, duration) pairs.
-
-        Bit-identical to calling the scalar method per pair.  The gap
-        scan is driven by the sorted ``_starts``/``_ends`` arrays: for a
-        query ready at ``r`` the slots finishing at or before ``r`` are
-        skipped with a ``searchsorted`` on the (non-decreasing) end
-        times, and the first gap ``[ends[i-1], starts[i])`` wide enough
-        for the task wins.  Within that regime the scalar path's
-        ``fits()`` re-check is provably always true, so no per-candidate
-        validation is needed; the rare shapes where the proof does not
-        hold (eps-scale durations, an end array knocked non-monotone by
-        a boundary point slot) fall back to the scalar method.
-        """
-        ready = np.ascontiguousarray(ready, dtype=float)
-        durations = np.ascontiguousarray(durations, dtype=float)
-        if ready.size and float(ready.min()) < 0:
-            raise ValueError(f"ready time must be >= 0, got {ready.min()}")
-        if durations.size and float(durations.min()) < 0:
-            raise ValueError(f"duration must be >= 0, got {durations.min()}")
-        if not insertion or not self._slots:
-            return np.maximum(ready, self.avail)
-        if not self._ends_monotone:
-            # a boundary point slot within eps of a real end broke the
-            # sorted-ends invariant; the scalar scan handles it exactly
-            return np.array(
-                [
-                    self.earliest_start(float(r), float(d), insertion=True)
-                    for r, d in zip(ready, durations)
-                ]
-            )
-        starts, ends, prev_end, indices = self._gap_arrays()
-        first = np.searchsorted(ends, ready, side="right")
-        gap_start = np.maximum(ready[:, None], prev_end[None, :])
-        feasible = gap_start + durations[:, None] <= starts[None, :] + _EPS
-        feasible &= indices[None, :] >= first[:, None]
-        hit = feasible.any(axis=1)
-        idx = np.argmax(feasible, axis=1)
-        out = np.maximum(ready, self.avail)  # append after everything
-        rows = np.flatnonzero(hit)
-        out[rows] = gap_start[rows, idx[rows]]
-        tiny = durations <= _EPS
-        if np.any(tiny):
-            # zero-duration pseudo tasks: a gap candidate can still be
-            # rejected by the point-slot fits() rule -- defer to scalar
-            for i in np.flatnonzero(tiny):
-                out[i] = self.earliest_start(
-                    float(ready[i]), float(durations[i]), insertion=True
-                )
-        return out
-
     def earliest_start_fast(
         self, ready: float, duration: float, insertion: bool = False
     ) -> float:
         """:meth:`earliest_start` minus the per-candidate ``fits`` re-check.
 
-        Valid -- and bit-identical -- whenever the end times are sorted
-        and the duration is above eps (the regime where the re-check is
-        provably always true, see :meth:`earliest_start_batch`); every
-        other shape is delegated to the scalar method.  The fast engine
-        calls this thousands of times per schedule.
+        For a query ready at ``r`` the slots finishing at or before
+        ``r`` are skipped by bisecting the (non-decreasing) end times,
+        and the first gap ``[ends[i-1], starts[i])`` wide enough for the
+        task wins.  While the end times are sorted and the duration is
+        above eps, the scalar path's ``fits()`` re-check is provably
+        always true there, so the answer is bit-identical; every other
+        shape is delegated to the scalar method.  The fast engines call
+        this thousands of times per schedule.
         """
         if not insertion or not self._slots:
             if ready < 0:
@@ -273,29 +213,6 @@ class ProcessorTimeline:
             prev_end = ends[idx]  # monotone: the running max is ends[idx]
         return ready if ready > self._max_end else self._max_end
 
-    def _gap_arrays(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Array snapshot of the slot boundaries for the batch gap scan.
-
-        ``prev_end[i]`` is the finish of everything before slot ``i``
-        (ends are non-decreasing, so the scalar loop's running max is
-        ``ends[i - 1]``).  Rebuilt lazily after a reserve/remove, so
-        repeated batch queries against an unchanged timeline pay no
-        list-to-array conversion.
-        """
-        cache = self._gap_cache
-        if cache is None:
-            starts = np.array(self._starts)
-            ends = np.array(self._ends)
-            prev_end = np.empty_like(ends)
-            if ends.size:
-                prev_end[0] = 0.0
-                prev_end[1:] = ends[:-1]
-            indices = np.arange(ends.size)
-            cache = self._gap_cache = (starts, ends, prev_end, indices)
-        return cache
-
     def reserve(
         self, task: int, start: float, duration: float, duplicate: bool = False
     ) -> Slot:
@@ -312,7 +229,6 @@ class ProcessorTimeline:
             self._ends.append(end)
             self._max_end = end
             self._busy += duration
-            self._gap_cache = None
             return slot
         if not self.fits(start, end):
             raise ValueError(
@@ -332,7 +248,6 @@ class ProcessorTimeline:
                 self._ends_monotone = False
         self._max_end = max(self._max_end, end)
         self._busy += duration
-        self._gap_cache = None
         return slot
 
     def remove(self, task: int, duplicate: Optional[bool] = None) -> None:
@@ -356,7 +271,6 @@ class ProcessorTimeline:
         self._ends_monotone = all(
             a <= b for a, b in zip(self._ends, self._ends[1:])
         )
-        self._gap_cache = None
 
     def idle_gaps(self, horizon: Optional[float] = None) -> List[Tuple[float, float]]:
         """Idle intervals up to ``horizon`` (defaults to ``avail``)."""

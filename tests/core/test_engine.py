@@ -1,6 +1,6 @@
-"""Unit tests for the incremental vectorized EFT engine.
+"""Unit tests for the scalar EFT engines.
 
-The engine's contract is *bit-identity* with the reference scalar
+The engines' contract is *bit-identity* with the reference scalar
 queries against any live schedule, so every test here compares engine
 output to the corresponding :class:`Schedule` /
 :func:`entry_duplication_plan` / :meth:`ProcessorTimeline.earliest_start`
@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from repro.core.duplication import entry_duplication_plan
-from repro.core.engine import EFTEngine
+from repro.core.engine import (
+    EntryWindow,
+    StaticEFTEngine,
+    mean_kernel,
+    sample_std_kernel,
+)
 from repro.schedule.schedule import Schedule
 from repro.schedule.timeline import ProcessorTimeline
 from tests.conftest import make_random_graph
@@ -45,7 +50,7 @@ class TestReadyVector:
         rng = np.random.default_rng(seed)
         graph = make_random_graph(seed=seed, v=40, n_procs=3)
         schedule, placed = _partial_schedule(graph, rng)
-        engine = EFTEngine(schedule)
+        engine = StaticEFTEngine(schedule)
         placed_set = set(placed)
         for task in graph.tasks():
             if not all(p in placed_set for p in graph.predecessors(task)):
@@ -57,7 +62,7 @@ class TestReadyVector:
     def test_unscheduled_parent_raises(self):
         graph = make_random_graph(seed=1, v=20)
         schedule = Schedule(graph)
-        engine = EFTEngine(schedule)
+        engine = StaticEFTEngine(schedule)
         child = next(
             t for t in graph.tasks() if graph.in_degree(t) > 0
         )
@@ -68,14 +73,14 @@ class TestReadyVector:
         graph = make_random_graph(seed=2, v=30, n_procs=3)
         rng = np.random.default_rng(0)
         schedule, placed = _partial_schedule(graph, rng, entry_dups=2)
-        engine = EFTEngine(schedule)  # built *after* the placements
+        engine = StaticEFTEngine(schedule)  # built *after* the placements
         for task in placed:
             copies = schedule.copies(task)
             assert engine.best_finish[task] == min(c.finish for c in copies)
             for proc in graph.procs():
                 local = [c.finish for c in copies if c.proc == proc]
                 expected = min(local) if local else np.inf
-                assert engine.local_finish[task, proc] == expected
+                assert engine.local_finish[task][proc] == expected
 
 
 class TestEntryPlan:
@@ -88,35 +93,35 @@ class TestEntryPlan:
         schedule, placed = _partial_schedule(
             graph, rng, entry_dups=seed % graph.n_procs
         )
-        engine = EFTEngine(
-            schedule, entry=entry, hypothetical_entry_dup=allow
-        )
+        window = EntryWindow(schedule, entry, allow_duplication=allow)
         for child in graph.successors(entry):
+            comm = graph.comm_cost(entry, child)
             for proc in graph.procs():
                 plan = entry_duplication_plan(
                     schedule, entry, child, proc, allow
                 )
-                duplicate, arrival = engine.entry_plan(child, proc)
+                duplicate, arrival = window.plan(comm, proc)
                 assert duplicate == plan.duplicate, (child, proc)
                 assert arrival == plan.arrival, (child, proc)
-                vec = engine.entry_arrival_vector(child)
-                assert vec[proc] == plan.arrival
-                col = engine.entry_arrival_column([child], proc)
-                assert col[0] == plan.arrival
+                row = window.arrival_row(comm)
+                assert row[proc] == plan.arrival
+                cell = window.arrival(comm, proc)
+                assert cell == plan.arrival
 
     def test_memo_invalidated_by_commits(self):
         graph = make_random_graph(seed=7, v=30, n_procs=3, single_entry=True)
         entry = graph.entry_task
         schedule = Schedule(graph)
         schedule.place(entry, 0, 0.0)
-        engine = EFTEngine(schedule, entry=entry, hypothetical_entry_dup=True)
+        window = EntryWindow(schedule, entry, allow_duplication=True)
         child = graph.successors(entry)[0]
-        before = engine.entry_plan(child, 1)
+        comm = graph.comm_cost(entry, child)
+        before = window.plan(comm, 1)
         # block CPU 1's duplication window, then re-query: the memo must
         # notice the timeline change through notify()
         blocker = schedule.place(child, 1, 0.0)
-        engine.notify(blocker)
-        after = engine.entry_plan(child, 1)
+        window.notify(blocker)
+        after = window.plan(comm, 1)
         plan = entry_duplication_plan(schedule, entry, child, 1, True)
         assert after == (plan.duplicate, plan.arrival)
         if before[0]:  # the window was usable before the blocker
@@ -131,7 +136,7 @@ class TestEstEft:
         rng = np.random.default_rng(3)
         graph = make_random_graph(seed=3, v=40, n_procs=4)
         schedule, placed = _partial_schedule(graph, rng)
-        engine = EFTEngine(schedule)
+        engine = StaticEFTEngine(schedule)
         placed_set = set(placed)
         for task in graph.tasks():
             if task in placed_set or not all(
@@ -146,6 +151,10 @@ class TestEstEft:
 
 
 class TestBatchEarliestStart:
+    """Batches of (ready, duration) queries through the fast gap scan
+    (:meth:`ProcessorTimeline.earliest_start_fast`, which the engines
+    call per cell) must match the scalar method exactly."""
+
     def _random_timeline(self, rng, n_slots=12, with_points=True):
         timeline = ProcessorTimeline(0)
         cursor = 0.0
@@ -172,31 +181,87 @@ class TestBatchEarliestStart:
             if i < len(ready) - 2:
                 ready[i] = slot.end
                 ready[i + 1] = slot.start
-        batch = timeline.earliest_start_batch(ready, durations, insertion)
         for i in range(len(ready)):
+            fast = timeline.earliest_start_fast(
+                float(ready[i]), float(durations[i]), insertion
+            )
             scalar = timeline.earliest_start(
                 float(ready[i]), float(durations[i]), insertion
             )
-            assert batch[i] == scalar, (i, ready[i], durations[i])
+            assert fast == scalar, (i, ready[i], durations[i])
 
     def test_empty_timeline(self):
         timeline = ProcessorTimeline(0)
-        ready = np.array([0.0, 3.5, 10.0])
-        durations = np.array([1.0, 0.0, 2.0])
-        batch = timeline.earliest_start_batch(ready, durations, True)
-        assert batch.tolist() == ready.tolist()
+        ready = [0.0, 3.5, 10.0]
+        durations = [1.0, 0.0, 2.0]
+        batch = [
+            timeline.earliest_start_fast(r, d, True)
+            for r, d in zip(ready, durations)
+        ]
+        assert batch == ready
 
     def test_negative_inputs_raise(self):
         timeline = ProcessorTimeline(0)
         timeline.reserve(1, 0.0, 2.0)
         with pytest.raises(ValueError):
-            timeline.earliest_start_batch(
-                np.array([-1.0]), np.array([1.0]), True
-            )
+            timeline.earliest_start_fast(-1.0, 1.0, True)
         with pytest.raises(ValueError):
-            timeline.earliest_start_batch(
-                np.array([1.0]), np.array([-1.0]), True
-            )
+            timeline.earliest_start_fast(1.0, -1.0, True)
+
+
+def _eft_rows(rng, kind, n_rows, n_procs):
+    """Non-negative EFT-like rows: plain, wide magnitude spread, ties."""
+    if kind == "random":
+        return rng.uniform(0.0, 1000.0, size=(n_rows, n_procs))
+    if kind == "spread":
+        mantissa = rng.uniform(1.0, 10.0, size=(n_rows, n_procs))
+        return mantissa * 10.0 ** rng.integers(-8, 13, size=(n_rows, n_procs))
+    levels = rng.integers(0, 3, size=(n_rows, n_procs))
+    return 41.0 + 0.1 * levels
+
+
+def _expanded_std(eft):
+    """The sample std as the ufunc sequence the vectorized HDLTS path ran."""
+    n_procs = eft.shape[1]
+    mean = np.add.reduce(eft, axis=1, keepdims=True)
+    mean /= n_procs
+    dev = eft - mean
+    dev *= dev
+    var = np.add.reduce(dev, axis=1)
+    var /= n_procs - 1
+    return np.sqrt(var)
+
+
+class TestRowKernels:
+    """The unrolled priority kernels are bit-equal to NumPy on every CPU
+    count, across all three summation regimes (< 8, 8..128, > 128)."""
+
+    @pytest.mark.parametrize("kind", ["random", "spread", "ties"])
+    def test_sample_std_bit_equal(self, kind):
+        rng = np.random.default_rng(13)
+        for n_procs in range(2, 301):
+            eft = _eft_rows(rng, kind, 4, n_procs)
+            kernel = sample_std_kernel(n_procs)
+            numpy_std = eft.std(axis=1, ddof=1)
+            expanded = _expanded_std(eft)
+            for i, row in enumerate(eft.tolist()):
+                value = kernel(row)
+                assert value == numpy_std[i], (n_procs, i)
+                assert value == expanded[i], (n_procs, i)
+
+    @pytest.mark.parametrize("kind", ["random", "spread", "ties"])
+    def test_mean_bit_equal(self, kind):
+        rng = np.random.default_rng(17)
+        for n_procs in range(1, 301):
+            eft = _eft_rows(rng, kind, 4, n_procs)
+            kernel = mean_kernel(n_procs)
+            numpy_mean = eft.mean(axis=1)
+            for i, row in enumerate(eft.tolist()):
+                assert kernel(row) == numpy_mean[i], (n_procs, i)
+
+    def test_one_cpu_has_no_sample_std(self):
+        with pytest.raises(ValueError):
+            sample_std_kernel(1)
 
 
 class TestBusyTimeAccumulator:

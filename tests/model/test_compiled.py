@@ -169,45 +169,6 @@ class TestArtifactCache:
             assert compile_graph(graph).cp_min_bound() == reference
 
 
-class TestParentArrays:
-    def test_entry_parent_split(self, fig1):
-        compiled = compile_graph(fig1)
-        entry = fig1.entry_task
-        child = fig1.successors(entry)[0]
-        ids, costs, ids_ne, costs_ne = compiled.parent_arrays(child, entry)
-        assert tuple(ids.tolist()) == fig1.predecessors(child)
-        assert entry in ids.tolist()
-        assert entry not in ids_ne.tolist()
-        assert len(costs_ne) == len(ids_ne)
-
-    def test_no_entry_keeps_full_arrays(self, fig1):
-        compiled = compile_graph(fig1)
-        child = fig1.successors(fig1.entry_task)[0]
-        ids, costs, ids_ne, costs_ne = compiled.parent_arrays(child, None)
-        assert ids is ids_ne and costs is costs_ne
-
-    def test_cached_per_task_entry_pair(self, fig1):
-        compiled = compile_graph(fig1)
-        entry = fig1.entry_task
-        child = fig1.successors(entry)[0]
-        assert compiled.parent_arrays(child, entry) is compiled.parent_arrays(
-            child, entry
-        )
-
-    def test_entry_comm_vector(self, fig1):
-        compiled = compile_graph(fig1)
-        entry = fig1.entry_task
-        vec = compiled.entry_comm_vector(entry)
-        assert vec is compiled.entry_comm_vector(entry)
-        for task in fig1.tasks():
-            expected = (
-                fig1.comm_cost(entry, task)
-                if fig1.has_edge(entry, task)
-                else 0.0
-            )
-            assert vec[task] == expected
-
-
 class TestKernelsBitIdentical:
     """The level-batched kernels against the per-node recursions."""
 

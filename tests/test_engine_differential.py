@@ -1,13 +1,15 @@
 """Differential tests: fast engine vs reference path, bit-identical.
 
-The incremental vectorized engine (``engine="fast"``) must reproduce the
+The incremental fast engines (``engine="fast"``) must reproduce the
 reference scalar path (``engine="reference"``) *exactly* -- same CPU,
 same start, same finish for every task copy, down to the last bit.  This
 module checks that on:
 
 * Hypothesis-generated random layered DAGs across the full HDLTS
   configuration grid (duplication on/off x append/insertion x every
-  ``PriorityRule``);
+  ``PriorityRule``), on 1 to 16 CPUs;
+* the same grid at the sizes figs 3-4 run at: 1000 tasks on 8 and 10
+  CPUs;
 * the fidelity-matrix graph shapes for every ported baseline;
 * the paper's Table I worked example (full trace equality).
 
@@ -68,7 +70,9 @@ def task_graphs(draw):
     """Small layered DAGs with adversarial float costs (mirrors the
     strategy in test_properties.py, plus zero-cost and equal-cost rows
     to stress tie-breaking)."""
-    n_procs = draw(st.integers(min_value=1, max_value=4))
+    # up to 16 CPUs: rows of 8+ EFTs reach NumPy's pairwise summation,
+    # which the penalty-value kernel must reproduce exactly
+    n_procs = draw(st.integers(min_value=1, max_value=16))
     n_levels = draw(st.integers(min_value=1, max_value=4))
     widths = [draw(st.integers(min_value=1, max_value=4)) for _ in range(n_levels)]
     cost = st.floats(
@@ -135,6 +139,41 @@ def test_heft_fast_matches_reference(graph, insertion):
 def test_dls_fast_matches_reference(graph, insertion):
     assert_identical(
         lambda eng: DLS(insertion=insertion, engine=eng), graph
+    )
+
+
+# --------------------------------------------------------------------------
+# fig3/fig4 sizes: 1000 tasks on 8 and 10 CPUs x the full HDLTS grid
+# --------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def paper_size_graphs():
+    return {
+        n_procs: generate_random_graph(
+            # the figures' generator settings: a real entry task, so
+            # Algorithm 1's duplication is live
+            GeneratorConfig(v=1000, n_procs=n_procs, single_entry=True),
+            np.random.default_rng(n_procs),
+        ).normalized()
+        for n_procs in (8, 10)
+    }
+
+
+@pytest.mark.parametrize("duplicate", [True, False])
+@pytest.mark.parametrize("insertion", [False, True])
+@pytest.mark.parametrize("priority", list(PriorityRule))
+@pytest.mark.parametrize("n_procs", [8, 10])
+def test_hdlts_paper_size_identical(
+    paper_size_graphs, n_procs, priority, insertion, duplicate
+):
+    assert_identical(
+        lambda eng: HDLTS(
+            duplicate_entry=duplicate,
+            use_insertion=insertion,
+            priority=priority,
+            engine=eng,
+        ),
+        paper_size_graphs[n_procs],
     )
 
 
