@@ -134,20 +134,13 @@ def precedence_safe_order(
     topological position makes the order always precedence-safe without
     altering genuinely ranked decisions.
     """
-    from repro.model.compiled import compile_graph, compiled_enabled
+    from repro.model.compiled import compile_graph
 
-    if compiled_enabled():
-        # identical to the sorted() below: topological position is a
-        # unique secondary key, so the (priority, position) order is
-        # total and lexsort reproduces it exactly
-        compiled = compile_graph(graph)
-        keys = np.asarray(priority, dtype=float)
-        if descending:
-            keys = -keys
-        order = np.lexsort((compiled.topo_position, keys))
-        return order.tolist()
-    position = {task: i for i, task in enumerate(graph.topological_order())}
-    sign = -1.0 if descending else 1.0
-    return sorted(
-        graph.tasks(), key=lambda t: (sign * priority[t], position[t])
-    )
+    # topological position is a unique secondary key, so the
+    # (priority, position) order is total and lexsort returns it exactly
+    compiled = compile_graph(graph)
+    keys = np.asarray(priority, dtype=float)
+    if descending:
+        keys = -keys
+    order = np.lexsort((compiled.topo_position, keys))
+    return order.tolist()

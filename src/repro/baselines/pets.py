@@ -23,7 +23,7 @@ import numpy as np
 from repro.baselines.common import make_engine, place_min_eft
 from repro.core.base import Scheduler
 from repro.model.attributes import mean_execution_times
-from repro.model.compiled import compile_graph, compiled_enabled
+from repro.model.compiled import compile_graph
 from repro.model.levels import level_decomposition
 from repro.model.task_graph import TaskGraph
 from repro.runtime.context import resolve_engine
@@ -51,9 +51,16 @@ class PETS(Scheduler):
 
     # ------------------------------------------------------------------
     def ranks(self, graph: TaskGraph) -> np.ndarray:
-        """Compute the PETS rank of every task (level by level)."""
-        if compiled_enabled() and self.variant == "drc":
+        """Compute the PETS rank of every task."""
+        if self.variant == "drc":
             return self._ranks_compiled(graph)
+        return self._ranks_levels(graph, self.variant)
+
+    @staticmethod
+    def _ranks_levels(graph: TaskGraph, variant: str) -> np.ndarray:
+        """The level loop: serves ``variant="rpt"``, whose predecessor
+        ranks need level order, and its ``drc`` arm is the oracle for
+        :meth:`_ranks_compiled`."""
         acc = mean_execution_times(graph)
         dtc = np.zeros(graph.n_tasks)
         for edge in graph.edges():
@@ -61,7 +68,7 @@ class PETS(Scheduler):
         rank = np.zeros(graph.n_tasks)
         for level in level_decomposition(graph):
             for task in level:
-                if self.variant == "drc":
+                if variant == "drc":
                     extra = max(
                         (
                             graph.comm_cost(parent, task)

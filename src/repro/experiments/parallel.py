@@ -218,7 +218,8 @@ def sweep_pool(
     but ``fork`` every definition must be portable (declarative
     ``graph`` spec, not a closure).  The shipped context is the active
     one with the parent's *effective* observability state folded in, so
-    ``obs.enable()`` in the parent still reaches spawn-started workers.
+    an ``obs.enabled_scope()`` around the parent's call still reaches
+    spawn-started workers.
     """
     definitions = list(definitions)
     registry: Dict[str, SweepDefinition] = {

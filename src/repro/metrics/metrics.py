@@ -23,11 +23,9 @@ def sequential_time(graph: TaskGraph) -> float:
     (minimum over CPUs of the column sum of ``W``)."""
     if graph.n_tasks == 0:
         return 0.0
-    from repro.model.compiled import compile_graph, compiled_enabled
+    from repro.model.compiled import compile_graph
 
-    if compiled_enabled():
-        return compile_graph(graph).sequential_time()
-    return float(graph.cost_matrix().sum(axis=0).min())
+    return compile_graph(graph).sequential_time()
 
 
 def slr(graph: TaskGraph, makespan: float) -> float:

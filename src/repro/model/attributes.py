@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.model.compiled import compile_graph, compiled_enabled
+from repro.model.compiled import compile_graph
 from repro.model.task_graph import TaskGraph
 
 __all__ = [
@@ -33,30 +33,24 @@ def mean_execution_time(graph: TaskGraph, task: int) -> float:
 def mean_execution_times(graph: TaskGraph) -> np.ndarray:
     """Vector of Eq. (1) values for every task.
 
-    Compiled layer enabled: computed once per graph instance and
-    returned as a shared read-only array.
+    Computed once per graph instance and returned as a shared
+    read-only array.
     """
     if graph.n_tasks == 0:
         return np.zeros(0)
-    if compiled_enabled():
-        return compile_graph(graph).mean_costs()
-    return graph.cost_matrix().mean(axis=1)
+    return compile_graph(graph).mean_costs()
 
 
 def std_execution_times(graph: TaskGraph, ddof: int = 1) -> np.ndarray:
     """Per-task standard deviation of execution time across CPUs.
 
     SDBATS keys its upward rank on this heterogeneity measure.  With a
-    single CPU the deviation is defined as zero.
+    single CPU the deviation is defined as zero.  Computed once per graph
+    instance and returned as a shared read-only array.
     """
     if graph.n_tasks == 0:
         return np.zeros(0)
-    if compiled_enabled():
-        return compile_graph(graph).std_costs(ddof=ddof)
-    w = graph.cost_matrix()
-    if graph.n_procs <= ddof:
-        return np.zeros(graph.n_tasks)
-    return w.std(axis=1, ddof=ddof)
+    return compile_graph(graph).std_costs(ddof=ddof)
 
 
 def communication_cost(

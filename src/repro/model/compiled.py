@@ -28,69 +28,26 @@ order (``comm + rank``, ``(rank + w) + comm``, ...) term for term.
 
 Compiled views are cached on the graph through its version-keyed
 derived cache, so mutating the graph invalidates the compiled form
-automatically.  Whether rank, attribute and metric consumers route
-through the layer is a field of the active
-:class:`~repro.runtime.context.RunContext` (``compiled=True`` by
-default): the differential tests and the throughput benchmark flip it
-to pit the two paths against each other on identical inputs, and the
-parallel sweep runner ships it to workers so every start method agrees.
-The fast EFT engines (:mod:`repro.core.engine`, HDLTS's fast path)
-read the list mirrors in either mode.  :func:`use_compiled` survives as a thin
-deprecated shim over the context.
+automatically.  The compiled graph is the only production path: rank,
+attribute and metric consumers, the EFT engines and HDLTS's fast path
+all read it.  The per-node recursions survive only as oracles
+(``*_reference`` in :mod:`repro.model.ranking`,
+:func:`~repro.metrics.critical_path.critical_path_min`), which the
+kernel-vs-oracle suite compares with these kernels bit for bit.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.model.task_graph import TaskGraph
-from repro.runtime.context import activate, current_context
 
 __all__ = [
     "CompiledGraph",
     "compile_graph",
-    "compiled_enabled",
-    "use_compiled",
 ]
-
-
-def compiled_enabled() -> bool:
-    """True when consumers should route through the compiled layer.
-
-    Reads the active :class:`~repro.runtime.context.RunContext` -- no
-    process-global switch; worker processes see whatever context was
-    shipped to them.
-    """
-    return current_context().compiled
-
-
-@contextmanager
-def use_compiled(enabled: bool) -> Iterator[None]:
-    """Scoped override of the compiled-layer switch.
-
-    .. deprecated::
-        Thin shim over ``activate(current_context().with_(compiled=...))``
-        kept for existing callers; new code should derive and activate a
-        :class:`~repro.runtime.context.RunContext` instead.
-
-    ``use_compiled(False)`` reproduces the pre-compiled code paths
-    exactly (per-run ``cost_matrix()`` copies, scalar rank recursions)
-    -- the oracle the differential suite and
-    ``benchmarks/bench_compile_cache.py`` compare against.
-    """
-    from repro.runtime.deprecation import warn_once
-
-    warn_once(
-        "model.compiled.use_compiled",
-        "use_compiled() is deprecated; activate a RunContext with "
-        "compiled=... instead (activate(current_context()"
-        ".with_(compiled=...)))",
-    )
-    with activate(current_context().with_(compiled=bool(enabled))):
-        yield
 
 
 def compile_graph(graph: TaskGraph) -> "CompiledGraph":

@@ -6,12 +6,12 @@ reuse the same recursion with the standard deviation of the cost row instead
 of its mean.  ``optimistic_cost_table`` is PEFT's OCT (Arabnejad & Barbosa,
 TPDS 2014).
 
-Each function dispatches to the level-batched CSR kernels of
-:mod:`repro.model.compiled` when the compiled layer is enabled (the
-default): ranks computed with default weights are then cached per graph
-instance, so every scheduler of a paired-comparison replication shares
-one pass.  Cached arrays are returned read-only.  The ``*_reference``
-variants keep the original per-node recursions -- the differential
+Each function runs the level-batched CSR kernels of
+:mod:`repro.model.compiled`: ranks computed with default weights are
+cached per graph instance, so every scheduler of a paired-comparison
+replication shares one pass.  Cached arrays are returned read-only.
+The ``*_reference`` variants keep the original per-node recursions as
+oracles only -- no production path calls them; the kernel-vs-oracle
 suite asserts the two are bit-identical.
 """
 
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.model.attributes import mean_execution_times
-from repro.model.compiled import compile_graph, compiled_enabled
+from repro.model.compiled import compile_graph
 from repro.model.task_graph import TaskGraph
 
 __all__ = [
@@ -57,12 +57,10 @@ def upward_rank(graph: TaskGraph, weights: NodeWeights = None) -> np.ndarray:
     have rank equal to their own weight.  With default weights the
     vector is computed once per graph instance and shared (read-only).
     """
-    if compiled_enabled():
-        compiled = compile_graph(graph)
-        if weights is None:
-            return compiled.upward_rank()
-        return compiled.upward_rank(_node_weights(graph, weights))
-    return upward_rank_reference(graph, weights)
+    compiled = compile_graph(graph)
+    if weights is None:
+        return compiled.upward_rank()
+    return compiled.upward_rank(_node_weights(graph, weights))
 
 
 def upward_rank_reference(
@@ -84,12 +82,10 @@ def upward_rank_reference(
 def downward_rank(graph: TaskGraph, weights: NodeWeights = None) -> np.ndarray:
     """Downward rank: ``rank_d(i) = max_j (rank_d(j) + w(j) + c(j,i))``
     over predecessors ``j``; entry tasks have rank 0 (CPOP)."""
-    if compiled_enabled():
-        compiled = compile_graph(graph)
-        if weights is None:
-            return compiled.downward_rank()
-        return compiled.downward_rank(_node_weights(graph, weights))
-    return downward_rank_reference(graph, weights)
+    compiled = compile_graph(graph)
+    if weights is None:
+        return compiled.downward_rank()
+    return compiled.downward_rank(_node_weights(graph, weights))
 
 
 def downward_rank_reference(
@@ -118,12 +114,10 @@ def optimistic_cost_table(graph: TaskGraph) -> np.ndarray:
         OCT(i, p) = max_{j in succ(i)} min_q [ OCT(j, q) + w(j, q)
                                                + (c(i, j) if q != p else 0) ]
 
-    Exit tasks have an all-zero row.  Compiled layer enabled: computed
-    once per graph instance and shared (read-only).
+    Exit tasks have an all-zero row.  Computed once per graph instance
+    and shared (read-only).
     """
-    if compiled_enabled():
-        return compile_graph(graph).oct_table()
-    return optimistic_cost_table_reference(graph)
+    return compile_graph(graph).oct_table()
 
 
 def optimistic_cost_table_reference(graph: TaskGraph) -> np.ndarray:
@@ -154,7 +148,5 @@ def optimistic_cost_table_reference(graph: TaskGraph) -> np.ndarray:
 def oct_rank(graph: TaskGraph, table: Optional[np.ndarray] = None) -> np.ndarray:
     """PEFT priority: average of the task's OCT row over CPUs."""
     if table is None:
-        if compiled_enabled():
-            return compile_graph(graph).oct_rank()
-        table = optimistic_cost_table_reference(graph)
+        return compile_graph(graph).oct_rank()
     return table.mean(axis=1)

@@ -361,8 +361,17 @@ class TaskGraph:
     # conversions / misc
     # ------------------------------------------------------------------
     def to_networkx(self):
-        """Export as a :class:`networkx.DiGraph` (costs become attributes)."""
-        import networkx as nx
+        """Export as a :class:`networkx.DiGraph` (costs become attributes).
+
+        Needs the optional ``graph`` extra (``pip install repro[graph]``).
+        """
+        try:
+            import networkx as nx
+        except ImportError as err:
+            raise ImportError(
+                "TaskGraph.to_networkx needs networkx; install the 'graph' "
+                "extra: pip install 'repro[graph]'"
+            ) from err
 
         g = nx.DiGraph()
         for tid in self.tasks():

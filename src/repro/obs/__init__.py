@@ -11,8 +11,9 @@ A dependency-free measurement layer for the whole toolkit:
   streaming histograms in a named registry, snapshot-able to plain
   dicts and exactly mergeable across worker processes.
 * :mod:`repro.obs.profile` -- nested ``with phase("..."):`` timers and
-  an ``@instrumented`` decorator behind a global switch; disabled (the
-  default) they reduce to one bool test and a shared no-op context.
+  an ``@instrumented`` decorator behind one switch (the run context's
+  ``metrics`` field, or :func:`enabled_scope`); disabled (the default)
+  they reduce to one bool test and a shared no-op context.
 
 Typical session (what ``repro profile`` does)::
 
@@ -42,8 +43,6 @@ from repro.obs.metrics import (
 from repro.obs.profile import (
     count,
     current_scope,
-    disable,
-    enable,
     enabled,
     enabled_scope,
     instrumented,
@@ -75,8 +74,6 @@ __all__ = [
     "scoped",
     "merge_snapshots",
     "format_metrics",
-    "enable",
-    "disable",
     "enabled",
     "enabled_scope",
     "phase",

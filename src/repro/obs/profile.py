@@ -1,4 +1,4 @@
-"""Profiling contexts: nested phase timers with a global on/off switch.
+"""Profiling contexts: nested phase timers behind one on/off switch.
 
 ``with phase("eft_vector"):`` times a block into the current
 :class:`~repro.obs.metrics.MetricsRegistry` under the joined phase
@@ -11,13 +11,12 @@ allocation, no clock read, one cheap enabled test -- so the
 instrumented hot paths of the schedulers cost nothing in production
 runs.
 
-Whether recording is on resolves in two steps: an explicit module
-override (:func:`enable` / :func:`disable` -- the legacy process-global
-toggles, now deprecated shims) wins when set; otherwise the ``metrics``
-field of the active :class:`~repro.runtime.context.RunContext` decides.
-A CLI run therefore turns measurement on by *activating a context*, and
-the parallel sweep runner ships that context to worker processes --
-under any pool start method, not just ``fork``.
+Whether recording is on resolves in two steps: a scoped override
+(:func:`enabled_scope`) wins while its block runs; otherwise the
+``metrics`` field of the active :class:`~repro.runtime.context.RunContext`
+decides.  A CLI run therefore turns measurement on by *activating a
+context*, and the parallel sweep runner ships the effective state to
+worker processes -- under any pool start method, not just ``fork``.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from repro.obs import spans as _spans
 from repro.runtime.context import current_context as _current_context
 
 __all__ = [
-    "enable",
-    "disable",
     "enabled",
     "enabled_scope",
     "phase",
@@ -43,40 +40,9 @@ __all__ = [
     "current_scope",
 ]
 
-#: explicit legacy override: None defers to the active RunContext
+#: :func:`enabled_scope` override: None defers to the active RunContext
 _override: Optional[bool] = None
 _stack: List[str] = []
-
-
-def enable() -> None:
-    """Force phase timing and counter recording on (process-wide).
-
-    .. deprecated::
-        Prefer activating a :class:`~repro.runtime.context.RunContext`
-        with ``metrics=True``; this shim sets a process-global override
-        that wins over any context.
-    """
-    from repro.runtime.deprecation import warn_once
-
-    warn_once(
-        "obs.profile.enable",
-        "obs.enable() is deprecated; activate a RunContext with "
-        "metrics=True (or use obs.enabled_scope()) instead",
-    )
-    global _override
-    _override = True
-
-
-def disable() -> None:
-    """Clear the override set by :func:`enable`.
-
-    Recording then falls back to the active run context (off under the
-    default context) -- matching the legacy off-after-disable behavior
-    while staying composable with context activation.
-    """
-    global _override
-    _override = None
-    _stack.clear()
 
 
 def enabled() -> bool:

@@ -1,7 +1,7 @@
 """Standing correctness subsystem: oracles that need no scheduler twin.
 
-Every scheduler in the library runs through two mutating fast paths (the
-vectorized EFT engine and the compiled CSR layer).  This package is the
+Every scheduler in the library runs through two fast paths (the scalar
+EFT engines and the compiled CSR graph kernels).  This package is the
 safety net that catches semantic drift in any of them *without*
 reimplementing a scheduler:
 
@@ -17,7 +17,7 @@ reimplementing a scheduler:
   schedules;
 * :mod:`repro.qa.fuzz` -- the seeded campaign driver behind
   ``repro fuzz``: random DAGs x every registry scheduler x
-  {compiled, object-graph} x {fast, reference engine}, all invariants,
+  {fast, reference engine}, all invariants,
   exact branch-and-bound oracles on tiny instances, metamorphic
   relations, and shrinking of any failure to a minimal reproducer;
 * :mod:`repro.qa.shrink` -- greedy delta-debugging of a failing graph;

@@ -8,7 +8,7 @@ caught bug into a permanent regression test.
 
 Three entry kinds:
 
-* ``violation`` -- a (graph, scheduler, combo) that once violated an
+* ``violation`` -- a (graph, scheduler, engine) that once violated an
   invariant; replay re-runs the full invariant registry and must come
   back clean;
 * ``golden`` -- a graph with pinned expected makespans per scheduler;
@@ -53,7 +53,6 @@ class CorpusEntry:
     id: str
     graph: Dict
     scheduler: Optional[str] = None
-    compiled: Optional[bool] = None
     engine: Optional[str] = None
     source: str = ""
     #: the problems observed when the entry was captured (context only;
@@ -70,7 +69,7 @@ class CorpusEntry:
     def to_dict(self) -> Dict:
         """JSON-ready form; unset optional fields are omitted."""
         data = {"kind": self.kind, "id": self.id, "graph": self.graph}
-        for key in ("scheduler", "compiled", "engine"):
+        for key in ("scheduler", "engine"):
             value = getattr(self, key)
             if value is not None:
                 data[key] = value
@@ -85,13 +84,13 @@ class CorpusEntry:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CorpusEntry":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; keys it does not read (such as the
+        retired ``compiled`` combo flag of older lines) are ignored."""
         return cls(
             kind=data["kind"],
             id=data["id"],
             graph=data["graph"],
             scheduler=data.get("scheduler"),
-            compiled=data.get("compiled"),
             engine=data.get("engine"),
             source=data.get("source", ""),
             problems=list(data.get("problems", [])),
@@ -133,18 +132,14 @@ def read_corpus(path: Union[str, Path]) -> List[CorpusEntry]:
 
 
 def _build(entry: CorpusEntry, graph: TaskGraph, scheduler_name: str):
-    """(prepared graph, schedule) under the entry's recorded combo."""
+    """(prepared graph, schedule) on the entry's recorded engine."""
     from repro.baselines.registry import make_scheduler
-    from repro.model.compiled import compiled_enabled, use_compiled
 
     scheduler = make_scheduler(scheduler_name)
     if entry.engine is not None and hasattr(scheduler, "engine"):
         scheduler.engine = entry.engine
-    compiled = entry.compiled if entry.compiled is not None else compiled_enabled()
-    with use_compiled(compiled):
-        prepared = scheduler.prepare(graph)
-        schedule = scheduler.build_schedule(prepared)
-    return prepared, schedule
+    prepared = scheduler.prepare(graph)
+    return prepared, scheduler.build_schedule(prepared)
 
 
 def replay_entry(entry: CorpusEntry) -> List[str]:

@@ -2,12 +2,11 @@
 
 Each instance draws one random layered DAG (concrete per-instance seed
 ``[campaign_seed, instance]``, so any instance replays alone) and runs
-every configured scheduler through every engine/graph-representation
-combination it supports:
+every configured scheduler through every EFT engine it supports:
 
 * the full invariant registry on every build;
-* bit-identity of the schedule across {compiled, object-graph} x
-  {fast, reference engine} -- the PR 2/PR 3 differential contract;
+* bit-identity of the schedule between the fast and the reference
+  engine -- ``engine="reference"`` is the one oracle axis;
 * on tiny instances (<= ``exact_max_tasks`` tasks), no-duplication
   schedules are compared against the branch-and-bound optimum: a
   heuristic "beating" the optimum means somebody's makespan is a lie;
@@ -39,7 +38,6 @@ from repro import obs
 from repro.baselines.registry import SCHEDULER_FACTORIES, make_scheduler
 from repro.generator import GeneratorConfig, generate_random_graph
 from repro.io.json_io import graph_to_dict
-from repro.model.compiled import use_compiled
 from repro.model.task_graph import TaskGraph
 from repro.qa.corpus import CorpusEntry, append_entries
 from repro.qa.invariants import invariants_for, run_invariants
@@ -107,7 +105,6 @@ class FuzzViolation:
     instance: int
     scheduler: str
     stage: str  # "build" | "invariant" | "differential" | "exact" | "metamorphic"
-    compiled: Optional[bool]
     engine: Optional[str]
     problems: List[str]
     graph_tasks: int
@@ -116,12 +113,7 @@ class FuzzViolation:
 
     def format(self) -> str:
         """One human-readable block: header plus the first problems."""
-        combo = []
-        if self.compiled is not None:
-            combo.append("compiled" if self.compiled else "object-graph")
-        if self.engine is not None:
-            combo.append(f"engine={self.engine}")
-        where = f" [{', '.join(combo)}]" if combo else ""
+        where = f" [engine={self.engine}]" if self.engine is not None else ""
         shrunk = (
             f" (shrunk {self.graph_tasks}->{self.shrunk_tasks} tasks)"
             if self.shrunk_tasks is not None
@@ -193,28 +185,20 @@ def _draw_graph(
     return generate_random_graph(cfg, rng)
 
 
-def _combos(name: str) -> List[Tuple[bool, Optional[str]]]:
-    """(compiled, engine) grid a scheduler supports."""
+def _combos(name: str) -> List[Optional[str]]:
+    """The engines a scheduler supports (``None``: it has no engine)."""
     probe = make_scheduler(name)
-    engines: Tuple[Optional[str], ...] = (
-        ("fast", "reference") if hasattr(probe, "engine") else (None,)
-    )
-    return [(compiled, engine) for compiled in (True, False) for engine in engines]
+    return ["fast", "reference"] if hasattr(probe, "engine") else [None]
 
 
 def _build(
-    name: str,
-    graph: TaskGraph,
-    compiled: bool,
-    engine: Optional[str],
+    name: str, graph: TaskGraph, engine: Optional[str]
 ) -> Tuple[TaskGraph, Schedule]:
     scheduler = make_scheduler(name)
     if engine is not None:
         scheduler.engine = engine
-    with use_compiled(compiled):
-        prepared = scheduler.prepare(graph)
-        schedule = scheduler.build_schedule(prepared)
-    return prepared, schedule
+    prepared = scheduler.prepare(graph)
+    return prepared, scheduler.build_schedule(prepared)
 
 
 # ----------------------------------------------------------------------
@@ -278,24 +262,20 @@ def _inject(mode: str, graph: TaskGraph, schedule: Schedule) -> bool:
 # ----------------------------------------------------------------------
 def _still_violates(
     name: str,
-    compiled: bool,
     engine: Optional[str],
     invariant_names: Optional[Sequence[str]],
 ) -> Callable[[TaskGraph], bool]:
     """Predicate: does the scheduler still violate these invariants?"""
 
     def predicate(candidate: TaskGraph) -> bool:
-        prepared, schedule = _build(name, candidate, compiled, engine)
-        with use_compiled(compiled):
-            report = run_invariants(prepared, schedule, invariant_names)
-        return not report.ok
+        prepared, schedule = _build(name, candidate, engine)
+        return not run_invariants(prepared, schedule, invariant_names).ok
 
     return predicate
 
 
 def _still_caught_injected(
     name: str,
-    compiled: bool,
     engine: Optional[str],
     mode: str,
     invariant_names: Sequence[str],
@@ -303,22 +283,18 @@ def _still_caught_injected(
     """Predicate: can we still corrupt a schedule AND catch it here?"""
 
     def predicate(candidate: TaskGraph) -> bool:
-        prepared, schedule = _build(name, candidate, compiled, engine)
+        prepared, schedule = _build(name, candidate, engine)
         if not _inject(mode, prepared, schedule):
             return False
-        with use_compiled(compiled):
-            report = run_invariants(prepared, schedule, invariant_names)
-        return not report.ok
+        return not run_invariants(prepared, schedule, invariant_names).ok
 
     return predicate
 
 
-def _still_crashes(
-    name: str, compiled: bool, engine: Optional[str]
-) -> Callable[[TaskGraph], bool]:
+def _still_crashes(name: str, engine: Optional[str]) -> Callable[[TaskGraph], bool]:
     def predicate(candidate: TaskGraph) -> bool:
         try:
-            _build(name, candidate, compiled, engine)
+            _build(name, candidate, engine)
         except Exception:
             return True
         return False
@@ -463,7 +439,6 @@ def _run_stream_campaign(
                         instance=instance,
                         scheduler=policy,
                         stage="build",
-                        compiled=None,
                         engine=None,
                         problems=[f"stream run crashed: {err!r}"],
                         graph_tasks=n_tasks,
@@ -480,7 +455,6 @@ def _run_stream_campaign(
                         instance=instance,
                         scheduler=policy,
                         stage="invariant",
-                        compiled=None,
                         engine=None,
                         problems=inv.all_problems(),
                         graph_tasks=n_tasks,
@@ -503,7 +477,6 @@ def _run_stream_campaign(
                         instance=instance,
                         scheduler=policy,
                         stage="differential",
-                        compiled=None,
                         engine=None,
                         problems=problems,
                         graph_tasks=lone.jobs[0].graph.n_tasks,
@@ -564,29 +537,25 @@ def run_campaign(
             )
         shrunk = graph
         if config.shrink and violation.stage in ("build", "invariant"):
-            compiled = bool(violation.compiled)
             inv_names = (
                 config.invariants
                 if config.invariants is not None
                 else invariants_for(violation.scheduler)
             )
             if violation.stage == "build":
-                predicate = _still_crashes(
-                    violation.scheduler, compiled, violation.engine
-                )
+                predicate = _still_crashes(violation.scheduler, violation.engine)
             elif config.inject is not None:
                 # an injected failure shrinks toward the smallest graph
                 # on which the corruption still exists AND is still seen
                 predicate = _still_caught_injected(
                     violation.scheduler,
-                    compiled,
                     violation.engine,
                     config.inject,
                     inv_names,
                 )
             else:
                 predicate = _still_violates(
-                    violation.scheduler, compiled, violation.engine, inv_names
+                    violation.scheduler, violation.engine, inv_names
                 )
             shrunk = shrink_graph(
                 graph, predicate, max_attempts=config.max_shrink_attempts
@@ -602,7 +571,6 @@ def run_campaign(
                 id=entry_id,
                 graph=graph_to_dict(shrunk),
                 scheduler=violation.scheduler,
-                compiled=violation.compiled,
                 engine=violation.engine,
                 source=(
                     f"repro fuzz --seed {config.seed} "
@@ -633,16 +601,15 @@ def run_campaign(
                 else invariants_for(name)
             )
             signatures = []
-            for compiled, engine in combos[name]:
+            for engine in combos[name]:
                 try:
-                    prepared, schedule = _build(name, graph, compiled, engine)
+                    prepared, schedule = _build(name, graph, engine)
                 except Exception as err:
                     caught(
                         FuzzViolation(
                             instance=instance,
                             scheduler=name,
                             stage="build",
-                            compiled=compiled,
                             engine=engine,
                             problems=[f"build crashed: {err!r}"],
                             graph_tasks=graph.n_tasks,
@@ -659,15 +626,13 @@ def run_campaign(
                             "task (degenerate schedule)"
                         )
                         continue
-                with use_compiled(compiled):
-                    inv = run_invariants(prepared, schedule, inv_names)
+                inv = run_invariants(prepared, schedule, inv_names)
                 if not inv.ok:
                     caught(
                         FuzzViolation(
                             instance=instance,
                             scheduler=name,
                             stage="invariant",
-                            compiled=compiled,
                             engine=engine,
                             problems=inv.all_problems(),
                             graph_tasks=graph.n_tasks,
@@ -677,7 +642,7 @@ def run_campaign(
                     continue
                 if config.inject is not None:
                     continue  # corrupted schedules prove nothing below
-                signatures.append((compiled, engine, schedule_signature(schedule)))
+                signatures.append((engine, schedule_signature(schedule)))
 
                 # exact oracle: no-duplication schedules cannot beat the
                 # no-duplication optimum
@@ -707,7 +672,6 @@ def run_campaign(
                                     instance=instance,
                                     scheduler=name,
                                     stage="exact",
-                                    compiled=compiled,
                                     engine=engine,
                                     problems=[
                                         f"makespan {schedule.makespan!r} beats "
@@ -718,17 +682,13 @@ def run_campaign(
                                 graph,
                             )
 
-                if (
-                    config.golden_path is not None
-                    and compiled
-                    and engine in (None, "fast")
-                ):
+                if config.golden_path is not None and engine in (None, "fast"):
                     golden_makespans[name] = schedule.makespan
 
             # all supported combos must agree bit for bit
             if len(signatures) > 1:
-                base_compiled, base_engine, base_sig = signatures[0]
-                for compiled, engine, sig in signatures[1:]:
+                base_engine, base_sig = signatures[0]
+                for engine, sig in signatures[1:]:
                     if sig != base_sig:
                         diff = sorted(
                             t
@@ -740,12 +700,10 @@ def run_campaign(
                                 instance=instance,
                                 scheduler=name,
                                 stage="differential",
-                                compiled=compiled,
                                 engine=engine,
                                 problems=[
-                                    f"schedule differs from combo "
-                                    f"(compiled={base_compiled}, "
-                                    f"engine={base_engine}) on tasks "
+                                    f"schedule differs from engine="
+                                    f"{base_engine} on tasks "
                                     f"{diff[:8]}"
                                 ],
                                 graph_tasks=graph.n_tasks,
@@ -781,7 +739,6 @@ def run_campaign(
                             instance=instance,
                             scheduler=name,
                             stage="metamorphic",
-                            compiled=None,
                             engine=None,
                             problems=problems,
                             graph_tasks=graph.n_tasks,

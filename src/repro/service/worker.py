@@ -7,7 +7,7 @@ loop is deliberately boring:
    sleep ``poll_s`` when the queue is idle),
 2. :func:`~repro.runtime.context.adopt` the submitting job's stored
    :class:`~repro.runtime.context.RunContext` -- seed, engine,
-   compiled layer, batched kernel: execution is governed by the
+   batched kernel, validation: execution is governed by the
    submission, not by whatever the worker process happens to have
    active,
 3. run the task's replications through the existing harness

@@ -93,12 +93,8 @@ class TestMetricsMerge:
     def _obs_enabled(self):
         from repro import obs
 
-        obs.enable()
-        try:
-            with obs.scoped(merge_up=False):
-                yield
-        finally:
-            obs.disable()
+        with obs.enabled_scope(True), obs.scoped(merge_up=False):
+            yield
 
     def test_parallel_counters_bit_identical_to_serial(self):
         serial = run_sweep(tiny_sweep(), reps=4, seed=7)
@@ -107,6 +103,18 @@ class TestMetricsMerge:
         )
         assert serial.metrics["counters"]
         assert parallel.metrics["counters"] == serial.metrics["counters"]
+
+    def test_enabled_scope_reaches_spawn_workers(self):
+        # the override is process state, so only the shipped context
+        # (with the parent's effective metrics flag folded in) can turn
+        # recording on in a freshly spawned interpreter
+        serial = run_sweep(tiny_sweep(), reps=2, seed=3)
+        spawn = run_sweep_parallel(
+            tiny_sweep(), reps=2, seed=3, workers=2, chunk_size=1,
+            start_method="spawn",
+        )
+        assert serial.metrics["counters"]
+        assert spawn.metrics["counters"] == serial.metrics["counters"]
 
     def test_parallel_timer_counts_match_serial(self):
         serial = run_sweep(tiny_sweep(), reps=3, seed=1)

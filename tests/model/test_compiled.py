@@ -5,12 +5,7 @@ import pytest
 
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
-from repro.model.compiled import (
-    CompiledGraph,
-    compile_graph,
-    compiled_enabled,
-    use_compiled,
-)
+from repro.model.compiled import CompiledGraph, compile_graph
 from repro.model.ranking import (
     downward_rank_reference,
     optimistic_cost_table_reference,
@@ -23,25 +18,6 @@ def random_graph(seed, v=60, ccr=2.0, **kw):
     return generate_random_graph(
         GeneratorConfig(v=v, ccr=ccr, **kw), np.random.default_rng(seed)
     )
-
-
-class TestSwitch:
-    def test_enabled_by_default(self):
-        assert compiled_enabled()
-
-    def test_scoped_disable_restores(self):
-        with use_compiled(False):
-            assert not compiled_enabled()
-            with use_compiled(True):
-                assert compiled_enabled()
-            assert not compiled_enabled()
-        assert compiled_enabled()
-
-    def test_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with use_compiled(False):
-                raise RuntimeError("boom")
-        assert compiled_enabled()
 
 
 class TestStructure:
@@ -160,12 +136,11 @@ class TestArtifactCache:
         )
 
     def test_cp_min_matches_reference(self):
-        from repro.metrics.critical_path import cp_min_lower_bound
+        from repro.metrics.critical_path import critical_path_min
 
         for seed in range(4):
             graph = random_graph(seed, v=40)
-            with use_compiled(False):
-                reference = cp_min_lower_bound(graph)
+            reference = critical_path_min(graph)[0]
             assert compile_graph(graph).cp_min_bound() == reference
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the TaskGraph data structure."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -194,10 +196,16 @@ class TestNormalization:
 
 class TestConversionsAndScaling:
     def test_to_networkx_roundtrip_structure(self, fig1):
+        pytest.importorskip("networkx")
         g = fig1.to_networkx()
         assert g.number_of_nodes() == 10
         assert g.number_of_edges() == 15
         assert g.edges[0, 1]["cost"] == 18
+
+    def test_to_networkx_without_networkx_names_the_extra(self, fig1, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(ImportError, match=r"repro\[graph\]"):
+            fig1.to_networkx()
 
     def test_scaled_comm(self, fig1):
         doubled = fig1.scaled_comm(2.0)

@@ -10,9 +10,10 @@ from repro.obs.metrics import scoped
 @pytest.fixture(autouse=True)
 def _clean_switch():
     """Every test starts and ends with profiling disabled."""
-    prof.disable()
+    assert not prof.enabled()
     yield
-    prof.disable()
+    assert not prof.enabled()
+    assert prof.current_scope() is None
 
 
 class TestSwitch:
@@ -20,9 +21,8 @@ class TestSwitch:
         assert not prof.enabled()
 
     def test_enable_disable(self):
-        prof.enable()
-        assert prof.enabled()
-        prof.disable()
+        with prof.enabled_scope(True):
+            assert prof.enabled()
         assert not prof.enabled()
 
     def test_enabled_scope_restores(self):
@@ -31,10 +31,10 @@ class TestSwitch:
         assert not prof.enabled()
 
     def test_enabled_scope_nested_restore(self):
-        prof.enable()
-        with prof.enabled_scope(False):
-            assert not prof.enabled()
-        assert prof.enabled()
+        with prof.enabled_scope(True):
+            with prof.enabled_scope(False):
+                assert not prof.enabled()
+            assert prof.enabled()
 
 
 class TestPhase:
@@ -42,15 +42,13 @@ class TestPhase:
         assert prof.phase("a") is prof.phase("b")
 
     def test_enabled_phase_records_timer(self):
-        prof.enable()
-        with scoped(merge_up=False) as registry:
+        with prof.enabled_scope(), scoped(merge_up=False) as registry:
             with prof.phase("outer"):
                 pass
         assert registry.timer("outer").count == 1
 
     def test_nested_phases_join_keys(self):
-        prof.enable()
-        with scoped(merge_up=False) as registry:
+        with prof.enabled_scope(), scoped(merge_up=False) as registry:
             with prof.phase("HDLTS"):
                 with prof.phase("eft_vector"):
                     pass
@@ -62,10 +60,10 @@ class TestPhase:
 
     def test_current_scope(self):
         assert prof.current_scope() is None
-        prof.enable()
-        with prof.phase("HDLTS"):
-            assert prof.current_scope() == "HDLTS"
-        assert prof.current_scope() is None
+        with prof.enabled_scope():
+            with prof.phase("HDLTS"):
+                assert prof.current_scope() == "HDLTS"
+            assert prof.current_scope() is None
 
 
 class TestCounters:
@@ -75,14 +73,12 @@ class TestCounters:
         assert not registry
 
     def test_count_when_enabled(self):
-        prof.enable()
-        with scoped(merge_up=False) as registry:
+        with prof.enabled_scope(), scoped(merge_up=False) as registry:
             prof.count("x", 3)
         assert registry.counter("x").value == 3
 
     def test_scoped_count_prefixes_phase_root(self):
-        prof.enable()
-        with scoped(merge_up=False) as registry:
+        with prof.enabled_scope(), scoped(merge_up=False) as registry:
             with prof.phase("HEFT"):
                 prof.scoped_count("eft_evaluations", 4)
             prof.scoped_count("bare", 1)
@@ -96,8 +92,7 @@ class TestInstrumented:
         def work(x):
             return x * 2
 
-        prof.enable()
-        with scoped(merge_up=False) as registry:
+        with prof.enabled_scope(), scoped(merge_up=False) as registry:
             assert work(2) == 4
             assert work(3) == 6
         assert registry.timer("my_phase").count == 2
@@ -119,17 +114,18 @@ class TestInstrumented:
         def named_fn():
             pass
 
-        prof.enable()
-        with scoped(merge_up=False) as registry:
+        with prof.enabled_scope(), scoped(merge_up=False) as registry:
             named_fn()
         (key,) = registry.snapshot()["timers"].keys()
         assert "named_fn" in key
 
 
 def test_obs_package_reexports():
-    for attr in ("phase", "enable", "get_bus", "get_metrics", "session",
+    for attr in ("phase", "enabled_scope", "get_bus", "get_metrics", "session",
                  "JsonlSink", "MetricsRegistry", "format_metrics"):
         assert hasattr(obs, attr)
+    # the process-global setters are gone; enabled_scope is the override
+    assert not hasattr(obs, "enable") and not hasattr(obs, "disable")
 
 
 def test_session_collects_events_and_metrics(tmp_path):

@@ -20,7 +20,7 @@ class TestRunContext:
         ctx = RunContext()
         assert ctx.seed == 0
         assert ctx.engine == "fast"
-        assert ctx.compiled is True
+        assert ctx.batch == "auto"
         assert ctx.validate is False
         assert ctx.metrics is False
         assert ctx.events is None
@@ -34,9 +34,9 @@ class TestRunContext:
 
     def test_with_returns_new_instance(self):
         base = RunContext()
-        derived = base.with_(compiled=False, seed=7)
-        assert derived.compiled is False and derived.seed == 7
-        assert base.compiled is True and base.seed == 0
+        derived = base.with_(validate=True, seed=7)
+        assert derived.validate is True and derived.seed == 7
+        assert base.validate is False and base.seed == 0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="engine"):
@@ -52,7 +52,7 @@ class TestRunContext:
 
     def test_pickle_round_trip(self):
         ctx = RunContext(
-            seed=11, engine="reference", compiled=False, validate=True,
+            seed=11, engine="reference", batch="off", validate=True,
             metrics=True, events="ev.jsonl", workers=4, chunk_size=2,
             start_method="spawn",
         )
@@ -68,6 +68,20 @@ class TestRunContext:
         with pytest.raises(ValueError, match="unknown RunContext fields"):
             RunContext.from_dict({"seed": 0, "turbo": True})
 
+    def test_compiled_field_is_gone(self):
+        assert "compiled" not in RunContext().to_dict()
+        with pytest.raises(TypeError):
+            RunContext(compiled=True)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_from_dict_drops_retired_compiled_key(self, value):
+        data = dict(RunContext(seed=4, workers=2).to_dict(), compiled=value)
+        assert RunContext.from_dict(data) == RunContext(seed=4, workers=2)
+
+    def test_retired_key_does_not_mask_unknown_ones(self):
+        with pytest.raises(ValueError, match=r"\['turbo'\]"):
+            RunContext.from_dict({"compiled": False, "turbo": True})
+
 
 class TestActivation:
     def test_default_active(self):
@@ -77,7 +91,7 @@ class TestActivation:
 
     def test_activate_scopes_and_restores(self):
         before = current_context()
-        ctx = RunContext(seed=5, compiled=False)
+        ctx = RunContext(seed=5, validate=True)
         with activate(ctx) as active:
             assert active is ctx
             assert current_context() is ctx
@@ -115,22 +129,16 @@ class TestResolveEngine:
 
 
 class TestConsumers:
-    """The legacy global toggles now read/write the context."""
+    """Readers that used to consult process-global toggles follow the
+    active context."""
 
-    def test_compiled_enabled_follows_context(self):
-        from repro.model.compiled import compiled_enabled
+    def test_obs_tracing_follows_context(self):
+        from repro import obs
 
-        assert compiled_enabled()
-        with activate(current_context().with_(compiled=False)):
-            assert not compiled_enabled()
-        assert compiled_enabled()
-
-    def test_use_compiled_shim_still_scopes(self):
-        from repro.model.compiled import compiled_enabled, use_compiled
-
-        with use_compiled(False):
-            assert not compiled_enabled()
-        assert compiled_enabled()
+        assert not obs.tracing()
+        with activate(current_context().with_(trace=True)):
+            assert obs.tracing()
+        assert not obs.tracing()
 
     def test_obs_enabled_follows_context(self):
         from repro import obs
@@ -140,15 +148,17 @@ class TestConsumers:
             assert obs.enabled()
         assert not obs.enabled()
 
-    def test_obs_enable_shim_overrides_context(self):
+    def test_obs_enabled_scope_overrides_context(self):
         from repro import obs
 
-        obs.enable()
-        try:
+        with obs.enabled_scope(True):
             assert obs.enabled()
-        finally:
-            obs.disable()
+            with activate(current_context().with_(metrics=False)):
+                assert obs.enabled()
         assert not obs.enabled()
+        with activate(current_context().with_(metrics=True)):
+            with obs.enabled_scope(False):
+                assert not obs.enabled()
 
     def test_scheduler_engine_defaults_from_context(self):
         from repro.core.hdlts import HDLTS

@@ -59,7 +59,6 @@ class TestCorpusPlumbing:
     def test_roundtrip_through_dict(self):
         entry = self._entry(
             scheduler="HDLTS",
-            compiled=True,
             engine="fast",
             source="hand-pinned",
             problems=["was: off by one"],
@@ -67,6 +66,14 @@ class TestCorpusPlumbing:
         )
         again = CorpusEntry.from_dict(entry.to_dict())
         assert again == entry
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_older_lines_with_compiled_flag_still_load(self, compiled):
+        data = dict(self._entry(scheduler="HDLTS").to_dict(), compiled=compiled)
+        entry = CorpusEntry.from_dict(data)
+        assert entry == self._entry(scheduler="HDLTS")
+        assert "compiled" not in entry.to_dict()
+        assert replay_entry(entry) == []
 
     def test_to_dict_omits_unset_fields(self):
         data = self._entry().to_dict()
